@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from charsum.arith import (
     Factorization,
@@ -397,8 +397,3 @@ def product_character(
             by_prime[p] = comp
     exponents = tuple(by_prime[p] for p, _ in group.factorization.factors)
     return group.character_from_exponents(exponents)
-
-
-def characters_iter(group: CharacterGroup) -> Iterator[DirichletCharacter]:
-    for i in range(group.phi):
-        yield group.character_at(i)

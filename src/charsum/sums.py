@@ -4,9 +4,14 @@ and bilinear forms over dyadic ranges.
 
 All accumulation happens in double precision from exact root-of-unity
 terms.  Wherever two evaluation strategies exist (second moments, bilinear
-forms) both are exposed and must agree to `tolerance`; the fast paths rely
-on the substitution a -> m^{-1} a, which turns chi(m*a + n*abar) into
-chi(b + (m*n)*bbar), so row m of the complete-sum table is row 1 permuted.
+forms) both are exposed and must agree to `tolerance`.
+
+The complete-sum kernels rest on the divisor-orbit reduction.  Write any m
+mod q as m = g*u with g = gcd(m, q) and u a unit; the substitution
+a -> u^{-1} a turns chi(g*u*a + n*abar) into chi(g*b + (u*n)*bbar), so
+Lambda(g*u, n) = Lambda(g, u*n).  Row m of the q x q table is therefore row
+gcd(m, q) permuted, and only the tau(q) divisor rows are summed directly
+(row 1 for the units, row q = 0 for m = 0).
 
 Dyadic ranges follow the convention x ~ X meaning X < x <= 2X.
 """
@@ -20,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from charsum.arith import discrete_log_table, mod_inverse, square_roots_of_unity
+from charsum.arith import discrete_log_table, divisors, mod_inverse, square_roots_of_unity
 from charsum.character import (
     DirichletCharacter,
     RootOfUnity,
@@ -141,6 +146,27 @@ def _modulus_tables(q: int):
 
 
 @lru_cache(maxsize=None)
+def _divisor_orbits(q: int):
+    """(divisors, slot, unit) for one modulus, all read-only.
+
+    m = divisors[slot[m]] * unit[m] (mod q) for every m in [0, q): slot[m]
+    indexes gcd(m, q) in the ascending divisor list, and unit[m] is the
+    smallest unit with that property, so unit[m] = m on the units.
+    """
+    units, _, _, _ = _modulus_tables(q)
+    divs = np.array(divisors(q), dtype=np.int64)
+    slot = np.empty(q, dtype=np.int64)
+    unit = np.full(q, q, dtype=np.int64)
+    for i, g in enumerate(divs):
+        m = g * units % q
+        slot[m] = i
+        np.minimum.at(unit, m, units)
+    for arr in (divs, slot, unit):
+        arr.setflags(write=False)
+    return divs, slot, unit
+
+
+@lru_cache(maxsize=None)
 def _roots_for_denominator(d: int) -> np.ndarray:
     return np.array([RootOfUnity(t, d).to_complex() for t in range(d)], dtype=np.complex128)
 
@@ -180,21 +206,6 @@ def character_value_table(chi: DirichletCharacter) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def character_exponent_table(chi: DirichletCharacter) -> tuple[np.ndarray, int]:
-    """(numerators, D): chi(a) = e(num[a]/D) on units, num = -1 elsewhere."""
-    q = chi.group.modulus
-    unit_mask, columns = _dlog_arrays(q)
-    D = chi.group.exponent_lcm
-    num = np.zeros(q, dtype=np.int64)
-    flat = [k for comp in chi.exponents for k in comp]
-    for k, (order, tj) in zip(flat, columns):
-        num += k * tj * (D // order)
-    num %= D
-    num[~unit_mask] = -1
-    return num, D
-
-
 # ---------------------------------------------------------------------------
 # complete and incomplete sums
 # ---------------------------------------------------------------------------
@@ -209,34 +220,43 @@ def complete_lambda(chi: DirichletCharacter, m: int, n: int) -> complex:
     return complex(tab[r].sum())
 
 
-def complete_lambda_row(chi: DirichletCharacter) -> np.ndarray:
-    """The values of the complete sum at (1, t) for every t in [0, q)."""
+def _divisor_rows(chi: DirichletCharacter, divs) -> np.ndarray:
+    """Complete sums at (g, t) for t in [0, q), summed directly, one row per g."""
     q = chi.group.modulus
     units, inv, _, _ = _modulus_tables(q)
     tab = character_value_table(chi)
     t = np.arange(q, dtype=np.int64)
-    r = (units[None, :] + t[:, None] * inv[units][None, :]) % q
-    return tab[r].sum(axis=1)
+    ubar = inv[units]
+    rows = np.empty((len(divs), q), dtype=np.complex128)
+    for i, g in enumerate(divs):
+        # in place, so no more than one (q, phi) index array is alive at once
+        r = t[:, None] * ubar[None, :]
+        r += int(g) * units[None, :]
+        r %= q
+        rows[i] = tab[r].sum(axis=1)
+    return rows
+
+
+def complete_lambda_row(chi: DirichletCharacter) -> np.ndarray:
+    """The values of the complete sum at (1, t) for every t in [0, q)."""
+    return _divisor_rows(chi, (1,))[0]
 
 
 def complete_lambda_table(chi: DirichletCharacter) -> np.ndarray:
     """The full q x q table of complete sums at (m, n).
 
-    Rows with gcd(m, q) = 1 are row 1 permuted by n -> m*n (the
-    substitution a -> m^{-1} a); the remaining rows are summed directly.
+    One gather from the tau(q) divisor rows: with m = g*u, g = gcd(m, q) and
+    u a unit, Lambda(m, n) = Lambda(g, u*n).  The unit rows are row 1
+    permuted by n -> m*n.
     """
     q = chi.group.modulus
-    units, inv, unit_mask, _ = _modulus_tables(q)
-    tab = character_value_table(chi)
+    divs, slot, unit = _divisor_orbits(q)
+    rows = _divisor_rows(chi, divs)
     t = np.arange(q, dtype=np.int64)
-    row1 = complete_lambda_row(chi)
-    table = np.empty((q, q), dtype=np.complex128)
-    table[units] = row1[(units[:, None] * t[None, :]) % q]
-    ubar = inv[units]
-    for m in np.nonzero(~unit_mask)[0]:
-        r = (int(m) * units[None, :] + t[:, None] * ubar[None, :]) % q
-        table[m] = tab[r].sum(axis=1)
-    return table
+    idx = unit[:, None] * t[None, :]
+    idx %= q
+    idx += slot[:, None] * q
+    return rows.ravel().take(idx)
 
 
 def incomplete_lambda(
@@ -307,14 +327,15 @@ def unit_root_char_sum(chi: DirichletCharacter) -> int:
 def second_moment(chi: DirichletCharacter, strategy: str = "auto") -> float:
     """Sum over all (m, n) mod q of |complete_lambda(chi, m, n)|^2.
 
-    strategy "naive" sums every (m, n) pair directly (capped at q <= 400);
-    "reduced" uses the row-permutation structure for the unit rows and only
-    sums the gcd(m, q) > 1 rows directly.  "auto" picks "reduced".
+    strategy "naive" sums every (m, n) pair directly (capped at q <= 400).
+    "reduced" uses the divisor-orbit reduction: row m of the table is row
+    gcd(m, q) permuted, and phi(q/g) rows share gcd g, so the moment is
+    sum over g | q of phi(q/g) * ||row g||^2.  "auto" picks "reduced".
     """
     q = chi.group.modulus
     if strategy == "auto":
         strategy = "reduced"
-    units, inv, unit_mask, _ = _modulus_tables(q)
+    units, inv, _, _ = _modulus_tables(q)
     tab = character_value_table(chi)
     t = np.arange(q, dtype=np.int64)
     ubar = inv[units]
@@ -331,13 +352,10 @@ def second_moment(chi: DirichletCharacter, strategy: str = "auto") -> float:
         return total
     if strategy != "reduced":
         raise ValueError(f"unknown second-moment strategy {strategy!r}")
-    row1 = complete_lambda_row(chi)
-    total = len(units) * float((row1.real**2 + row1.imag**2).sum())
-    for m in np.nonzero(~unit_mask)[0]:
-        r = (int(m) * units[None, :] + t[:, None] * ubar[None, :]) % q
-        rows = tab[r].sum(axis=1)
-        total += float((rows.real**2 + rows.imag**2).sum())
-    return total
+    divs, slot, _ = _divisor_orbits(q)
+    rows = _divisor_rows(chi, divs)
+    norms = (rows.real**2 + rows.imag**2).sum(axis=1)
+    return float((np.bincount(slot) * norms).sum())
 
 
 def weighted_second_moment(chi: DirichletCharacter, weights: WeightVector) -> float:

@@ -689,21 +689,23 @@ def _multiplicativity_cases(q1: int, q2: int) -> list[CaseRecord]:
     tol = tolerance(3 * prof.phi)
     m_mod1 = np.arange(q, dtype=np.int64) % q1
     m_mod2 = np.arange(q, dtype=np.int64) % q2
-    cases = []
     chars1 = enumerate_characters(character_group(q1))
     chars2 = enumerate_characters(character_group(q2))
-    for chi1 in chars1:
-        table1 = complete_lambda_table(chi1)
-        lifted1 = table1[m_mod1[:, None], m_mod1[None, :]]
-        for chi2 in chars2:
-            table2 = complete_lambda_table(chi2)
-            lifted2 = table2[m_mod2[:, None], m_mod2[None, :]]
+    # q1 < q2, so the q1 tables are the small ones to keep; each q2 table is
+    # built and lifted once.  Cases stay in (chi1, chi2) order.
+    tables1 = [complete_lambda_table(chi1) for chi1 in chars1]
+    blocks: list[list[CaseRecord]] = [[] for _ in chars1]
+    for chi2 in chars2:
+        table2 = complete_lambda_table(chi2)
+        lifted2 = table2[m_mod2[:, None], m_mod2[None, :]]
+        for chi1, table1, block in zip(chars1, tables1, blocks):
+            lifted1 = table1[m_mod1[:, None], m_mod1[None, :]]
             chi = product_character(chi1, chi2)
             table = complete_lambda_table(chi)
             defects = np.abs(table - lifted1 * lifted2)
             m, n = divmod(int(defects.argmax()), q)
             value = complete_lambda(chi, m, n)
-            cases.append(
+            block.append(
                 _case(
                     "multiplicativity",
                     q,
@@ -723,7 +725,7 @@ def _multiplicativity_cases(q1: int, q2: int) -> list[CaseRecord]:
                     passed=float(defects.max()) <= tol,
                 )
             )
-    return cases
+    return [case for block in blocks for case in block]
 
 
 def _vanish_mult_q(q: int, parts: tuple[str, ...]) -> tuple[list[CaseRecord], list[str]]:

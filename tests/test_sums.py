@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from charsum.arith import divisors
 from charsum.character import character_group, enumerate_characters, evaluate, is_primitive
 from charsum.sums import (
     BilinearInstance,
@@ -179,7 +180,8 @@ def test_imprimitive_lift_overshoots_envelope():
 
 
 def test_lambda_table_and_row_consistency():
-    for q in (5, 8, 12, 15):
+    # 36, 48, 60 and 64 have many non-unit rows, gathered from divisor rows
+    for q in (5, 8, 12, 15, 36, 48, 60, 64):
         for chi in enumerate_characters(character_group(q)):
             table = complete_lambda_table(chi)
             row1 = complete_lambda_row(chi)
@@ -199,6 +201,22 @@ def test_lambda_reduction_row_permutation():
                     lhs = complete_lambda(chi, m, n)
                     rhs = complete_lambda(chi, 1, m * n % q)
                     assert abs(lhs - rhs) < TOL
+
+
+def test_lambda_divisor_orbit_identity():
+    # with g | q and u a unit, Lambda(g*u, n) = Lambda(g, u*n): every row of
+    # the table is its divisor row gcd(m, q) permuted
+    for q in (12, 18, 20, 24, 36):
+        for chi in enumerate_characters(character_group(q)):
+            direct = {
+                (m, n): complete_lambda_direct(chi, m, n) for m in range(q) for n in range(q)
+            }
+            for g in divisors(q):
+                for u in units(q):
+                    for n in range(q):
+                        lhs = direct[g * u % q, n]
+                        rhs = direct[g % q, u * n % q]
+                        assert abs(lhs - rhs) < TOL, (q, chi.index, g, u, n)
 
 
 def test_lambda_periodicity_in_m_and_n():
@@ -318,7 +336,7 @@ def test_unit_root_char_sum_odd_modulus_completely_even():
 
 
 def test_second_moment_naive_vs_reduced_exhaustive():
-    for q in range(1, 30):
+    for q in [*range(1, 30), 32, 36, 48, 60, 64, 72, 96]:
         for chi in enumerate_characters(character_group(q)):
             naive = second_moment(chi, "naive")
             reduced = second_moment(chi, "reduced")
