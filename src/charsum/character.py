@@ -9,10 +9,13 @@ floating complex only inside sum accumulators.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
+
+import numpy as np
 
 from charsum.arith import (
     Factorization,
@@ -300,17 +303,35 @@ def _local_conductor(struct: UnitGroupStructure, exps: tuple[int, ...]) -> int:
     return 2 ** (alpha - v)
 
 
-def _conductor_by_definition(chi: DirichletCharacter) -> int:
-    # smallest f | q with chi trivial on every unit a = 1 (mod f)
-    q = chi.group.modulus
+@lru_cache(maxsize=None)
+def _definitional_conductors(q: int) -> tuple[int, ...]:
+    """The conductor of every character mod q by definition, indexed by chi.index.
+
+    Row i of E is the flat exponent vector of the i-th character and row u of
+    L the discrete logs of the u-th unit, each scaled by D/order, so chi_i(u)
+    = e(num[i, u]/D) with num = (E @ L^T) mod D, exactly in integers.  The
+    conductor of chi_i is the smallest f | q with num[i, u] = 0 for every
+    unit u = 1 (mod f).
+    """
+    group = character_group(q)
+    D = group.exponent_lcm
+    orders = group.factor_orders()
+    exps = np.array(list(itertools.product(*(range(n) for n in orders))), dtype=np.int64)
+    exps = exps.reshape(group.phi, len(orders))
+    units = np.array([a for a in range(q) if math.gcd(a, q) == 1], dtype=np.int64)
+    logs = []
+    for struct in group.structures:
+        table = discrete_log_table(struct)
+        local = [table[a] for a in units % struct.modulus]
+        for j, order in enumerate(struct.factor_orders):
+            logs.append([t[j] * (D // order) for t in local])
+    scaled = np.array(logs, dtype=np.int64).reshape(len(orders), len(units))
+    trivial = (exps @ scaled) % D == 0
+    found = np.zeros(group.phi, dtype=np.int64)
     for f in divisors(q):
-        if all(
-            evaluate(chi, a).root == ONE
-            for a in range(1, q + 1, f)
-            if math.gcd(a, q) == 1
-        ):
-            return f
-    raise RuntimeError("unreachable: every character factors through its own modulus")
+        ok = trivial[:, units % f == 1 % f].all(axis=1)
+        found[(found == 0) & ok] = f
+    return tuple(int(f) for f in found)
 
 
 _CONDUCTOR_CROSSCHECK_LIMIT = 200
@@ -321,13 +342,14 @@ def conductor(chi: DirichletCharacter) -> int:
     """Smallest f | q such that chi factors through a character mod f.
 
     Computed per component from exponent divisibility; for small moduli the
-    definitional factor-through test runs as a safety net.
+    definitional factor-through test, one exact integer table per modulus,
+    runs as a safety net.
     """
     f = 1
     for struct, exps in zip(chi.group.structures, chi.exponents):
         f *= _local_conductor(struct, exps)
     if chi.group.modulus <= _CONDUCTOR_CROSSCHECK_LIMIT:
-        direct = _conductor_by_definition(chi)
+        direct = _definitional_conductors(chi.group.modulus)[chi.index]
         if direct != f:
             raise RuntimeError(
                 f"conductor mismatch for {character_label(chi)}: "

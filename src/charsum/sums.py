@@ -11,7 +11,13 @@ mod q as m = g*u with g = gcd(m, q) and u a unit; the substitution
 a -> u^{-1} a turns chi(g*u*a + n*abar) into chi(g*b + (u*n)*bbar), so
 Lambda(g*u, n) = Lambda(g, u*n).  Row m of the q x q table is therefore row
 gcd(m, q) permuted, and only the tau(q) divisor rows are summed directly
-(row 1 for the units, row q = 0 for m = 0).
+(row 1 for the units, row q = 0 for m = 0).  The divisor rows are
+gathered in blocks under a fixed element budget, so memory stays bounded
+at any q.
+
+Sums against e(n*x/q) at every twist n at once (all Gauss sums of a
+character, all quadratic sums e((a*x^2 + b*x)/q) of a modulus) share one
+kernel, `twist_sums`: an unscaled inverse FFT along the last axis.
 
 Dyadic ranges follow the convention x ~ X meaning X < x <= 2X.
 """
@@ -220,20 +226,32 @@ def complete_lambda(chi: DirichletCharacter, m: int, n: int) -> complex:
     return complex(tab[r].sum())
 
 
+# Elements of one (rows, phi) gather in _divisor_rows: 16 MB of complex terms
+# plus 8 MB of int64 index, and one block for every q <= 1024.
+_ROW_BLOCK_ELEMENTS = 1 << 20
+
+
 def _divisor_rows(chi: DirichletCharacter, divs) -> np.ndarray:
-    """Complete sums at (g, t) for t in [0, q), summed directly, one row per g."""
+    """Complete sums at (g, t) for t in [0, q), summed directly, one row per g.
+
+    Each row is gathered as (t, unit) blocks of at most _ROW_BLOCK_ELEMENTS
+    elements; every t is summed on its own, so the blocking changes no bit.
+    """
     q = chi.group.modulus
     units, inv, _, _ = _modulus_tables(q)
     tab = character_value_table(chi)
-    t = np.arange(q, dtype=np.int64)
     ubar = inv[units]
+    step = max(1, _ROW_BLOCK_ELEMENTS // len(units))
     rows = np.empty((len(divs), q), dtype=np.complex128)
     for i, g in enumerate(divs):
-        # in place, so no more than one (q, phi) index array is alive at once
-        r = t[:, None] * ubar[None, :]
-        r += int(g) * units[None, :]
-        r %= q
-        rows[i] = tab[r].sum(axis=1)
+        shift = int(g) * units
+        for lo in range(0, q, step):
+            t = np.arange(lo, min(lo + step, q), dtype=np.int64)
+            # in place, so no more than one index block is alive at once
+            r = t[:, None] * ubar[None, :]
+            r += shift[None, :]
+            r %= q
+            rows[i, lo : lo + len(t)] = tab[r].sum(axis=1)
     return rows
 
 
@@ -284,17 +302,18 @@ def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
     return complex((tab * e[(n % q) * t % q]).sum())
 
 
-@lru_cache(maxsize=4)
-def _e_outer(q: int) -> np.ndarray:
-    _, _, _, e = _modulus_tables(q)
-    t = np.arange(q, dtype=np.int64)
-    return e[(t[:, None] * t[None, :]) % q]
+def twist_sums(rows: np.ndarray) -> np.ndarray:
+    """Sum of rows[..., x] e(n*x/q) over x mod q, for every n in [0, q).
+
+    q is the length of the last axis; one unscaled inverse FFT along it gives
+    every twist n of every row at once.
+    """
+    return np.fft.ifft(rows, axis=-1, norm="forward")
 
 
 def gauss_sum_all(chi: DirichletCharacter) -> np.ndarray:
-    """Gauss sums at every twist n in [0, q), as one matrix product."""
-    tab = character_value_table(chi)
-    return tab @ _e_outer(chi.group.modulus)
+    """Gauss sums at every twist n in [0, q), as one inverse FFT."""
+    return twist_sums(character_value_table(chi))
 
 
 def unit_root_char_sum(chi: DirichletCharacter) -> int:
@@ -389,6 +408,24 @@ def quadratic_expsum(a: int, b: int, q: int, restricted: bool = False) -> comple
     x = units if restricted else np.arange(q, dtype=np.int64)
     r = (a % q * (x * x % q) + b % q * x) % q
     return complex(e[r].sum())
+
+
+def quadratic_expsum_table(q: int, restricted: bool = False) -> np.ndarray:
+    """quadratic_expsum(a, b, q, restricted) at every (a, b), as a q x q array.
+
+    Entry (a, b) is the twist b of the row x -> e(a*x^2/q), which is zeroed
+    off the units when restricted, so one inverse FFT per row gives every b.
+    """
+    if q < 1:
+        raise ValueError(f"modulus must be positive, got {q}")
+    _, _, unit_mask, e = _modulus_tables(q)
+    x = np.arange(q, dtype=np.int64)
+    idx = x[:, None] * (x * x % q)[None, :]
+    idx %= q
+    rows = e[idx]
+    if restricted:
+        rows[:, ~unit_mask] = 0
+    return twist_sums(rows)
 
 
 def orthogonality_average(chi: DirichletCharacter, c: int, b: int) -> complex:

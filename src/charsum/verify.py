@@ -5,6 +5,14 @@ Every check walks a family of cases, records one row per tested statement
 aggregates into a VerificationReport.  Reports are deterministic: seeded
 draws derive a private subseed per (check, modulus, trial) cell, so results
 do not depend on sweep order or on the CHARSUM_THREADS setting.
+
+Per-modulus workers batch across a modulus where they can: lemma1 takes
+every twist of every primitive character's Gauss sum from one FFT over the
+stacked character tables, lemma4 every quadratic sum from one FFT per
+q x q table, and bound5 scans the interval windows of a block of seeded
+draws at once.  Each batch keeps the per-item tie rule (first maximum in
+row-major order), and every witness is recomputed by its pointwise
+evaluator.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from charsum.character import (
     DirichletCharacter,
     character_group,
     enumerate_characters,
-    evaluate,
     is_primitive,
     parity_flags,
     parse_character_label,
@@ -37,13 +44,14 @@ from charsum.sums import (
     complete_lambda,
     complete_lambda_table,
     gauss_sum,
-    gauss_sum_all,
     incomplete_lambda,
     orthogonality_average,
     character_pair_sum,
     quadratic_expsum,
+    quadratic_expsum_table,
     second_moment,
     tolerance,
+    twist_sums,
     unit_root_char_sum,
     weighted_second_moment,
     _modulus_tables,
@@ -60,6 +68,8 @@ _TAG_BIL_COEFF = 108
 
 _LEMMA4_SAMPLES = 200
 _LEMMA4_EXHAUSTIVE_LIMIT = 100
+# Elements of the (draws, start, length) window block in bound5: about 1.5 MB.
+_BOUND5_BLOCK_ELEMENTS = 1 << 16
 _WITNESS_COUNT = 3
 
 
@@ -327,13 +337,19 @@ def _bound4_q(q: int) -> tuple[list[CaseRecord], list[str]]:
 
 def _lemma1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
     root_q = math.sqrt(q)
+    primitive = [chi for chi in enumerate_characters(character_group(q)) if is_primitive(chi)]
+    if not primitive:
+        return [], []
+    # one row per primitive character: every twist of every Gauss sum at once
+    tabs = np.stack([character_value_table(chi) for chi in primitive])
+    all_twists = twist_sums(tabs)
+    g1_all = all_twists[:, 1 % q]
+    twist_defects = np.abs(all_twists - np.conj(tabs) * g1_all[:, None])
+    n_stars = twist_defects.argmax(axis=1)
+    row_of = {chi.index: i for i, chi in enumerate(primitive)}
     cases = []
-    for chi in enumerate_characters(character_group(q)):
-        if not is_primitive(chi):
-            continue
-        all_twists = gauss_sum_all(chi)
-        g1 = complex(all_twists[1 % q])
-        tab = character_value_table(chi)
+    for i, chi in enumerate(primitive):
+        g1 = complex(g1_all[i])
         defect_mod = abs(abs(g1) - root_q)
         cases.append(
             _case(
@@ -348,10 +364,8 @@ def _lemma1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
                 passed=defect_mod <= tolerance(q),
             )
         )
-        twist_defects = np.abs(all_twists - np.conj(tab) * g1)
-        n_star = int(twist_defects.argmax())
-        value = gauss_sum(chi, n_star)
-        defect_twist = float(twist_defects.max())
+        n_star = int(n_stars[i])
+        defect_twist = float(twist_defects[i, n_star])
         cases.append(
             _case(
                 "lemma1",
@@ -359,14 +373,16 @@ def _lemma1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
                 chi,
                 kind="gauss_twist",
                 params={"n": n_star},
-                value=value,
+                value=gauss_sum(chi, n_star),
                 defect=defect_twist,
                 ratio=0.0,
                 passed=defect_twist <= tolerance(2 * q),
             )
         )
-        sign = evaluate(chi, q - 1).to_complex()
-        conj_defect = abs(np.conj(g1) - sign * gauss_sum(chi.conjugate(), 1))
+        # the conjugate is primitive too; its own row gives G(conj chi, 1)
+        sign = complex(tabs[i, q - 1])
+        conj_g1 = complex(g1_all[row_of[chi.conjugate().index]])
+        conj_defect = abs(np.conj(g1) - sign * conj_g1)
         cases.append(
             _case(
                 "lemma1",
@@ -383,41 +399,47 @@ def _lemma1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
     return cases, []
 
 
-def _lambda_terms(chi: DirichletCharacter, m: int, n: int) -> np.ndarray:
-    """chi(m*a + n*abar) for a in [0, q), zero off the units."""
-    q = chi.group.modulus
-    _, inv, unit_mask, _ = _modulus_tables(q)
-    tab = character_value_table(chi)
-    a = np.arange(q, dtype=np.int64)
-    values = tab[(m % q * a + n % q * inv[a]) % q].copy()
-    values[~unit_mask] = 0
-    return values
-
-
 def _bound5_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
     denom = q ** (0.5 + cfg.epsilon)
-    cases = []
-    for chi in enumerate_characters(character_group(q)):
+    _, inv, _, _ = _modulus_tables(q)
+    chars = enumerate_characters(character_group(q))
+    tables = np.stack([character_value_table(chi) for chi in chars])
+    draws = []
+    for chi in chars:
         if chi.is_trivial:
             continue
         for trial in range(cfg.trials):
             rng = SplitMix64(derive_seed(cfg.seed, _TAG_BOUND5, q, chi.index, trial))
             m = rng.randrange(q)
             n = rng.randrange(q)
-            terms = _lambda_terms(chi, m, n)
-            prefix = np.concatenate(([0j], np.cumsum(np.concatenate([terms, terms]))))
-            windows = np.lib.stride_tricks.sliding_window_view(prefix, q + 1)[:q]
-            deltas = np.abs(windows - prefix[:q, None])
-            start, length = divmod(int(deltas.argmax()), q + 1)
-            start, length = int(start), int(length)
-            value = incomplete_lambda(chi, m, n, IntervalSpec(start, length))
+            draws.append((chi, trial, m, n))
+    # deltas[k, s, l] = |terms of draw k summed over [s, s + l)|, for a block
+    # of draws at a time: every draw's windows are scanned as in a loop of its own
+    a = np.arange(q, dtype=np.int64)
+    block = max(1, _BOUND5_BLOCK_ELEMENTS // (q * (q + 1)))
+    cases = []
+    for lo in range(0, len(draws), block):
+        chunk = draws[lo : lo + block]
+        rows = np.array([chi.index for chi, _, _, _ in chunk], dtype=np.int64)
+        m = np.array([mk for _, _, mk, _ in chunk], dtype=np.int64)
+        n = np.array([nk for _, _, _, nk in chunk], dtype=np.int64)
+        # inv is 0 off the units, where m*a + n*inv[a] is a non-unit: terms are 0
+        terms = tables[rows[:, None], (m[:, None] * a + n[:, None] * inv) % q]
+        prefix = np.zeros((len(chunk), 2 * q + 1), dtype=np.complex128)
+        np.cumsum(np.concatenate([terms, terms], axis=1), axis=1, out=prefix[:, 1:])
+        windows = np.lib.stride_tricks.sliding_window_view(prefix, q + 1, axis=1)[:, :q]
+        deltas = np.abs(windows - prefix[:, :q, None])
+        best = deltas.reshape(len(chunk), -1).argmax(axis=1)
+        for (chi, trial, mk, nk), flat in zip(chunk, best):
+            start, length = divmod(int(flat), q + 1)
+            value = incomplete_lambda(chi, mk, nk, IntervalSpec(start, length))
             cases.append(
                 _case(
                     "bound5",
                     q,
                     chi,
                     kind="bound5",
-                    params={"m": m, "n": n, "start": start, "length": length, "trial": trial},
+                    params={"m": mk, "n": nk, "start": start, "length": length, "trial": trial},
                     value=value,
                     defect=0.0,
                     ratio=abs(value) / denom,
@@ -514,51 +536,28 @@ def _lemma3_q(q: int, parts: tuple[str, ...]) -> tuple[list[CaseRecord], list[st
 
 
 def _lemma4_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
-    prof = _profile(q)
-    omega = prof.omega
-    units, _, _, e_table = _modulus_tables(q)
-    x_all = np.arange(q, dtype=np.int64)
-    sq_all = x_all * x_all % q
-    sq_units = units * units % q
-
-    def envelopes(a: int) -> tuple[float, float]:
-        g = math.gcd(a, q)
-        korobov = math.sqrt(q * g)
-        return korobov * 2**omega, korobov
-
-    best_restricted = (-1.0, 0, 0)
-    best_korobov = (-1.0, 0, 0)
-
-    def scan_pair_block(a: int, b_values: np.ndarray) -> None:
-        nonlocal best_restricted, best_korobov
-        env_r, env_k = envelopes(a)
-        r_vals = np.abs(
-            e_table[(a * sq_units[None, :] + b_values[:, None] * units[None, :]) % q].sum(axis=1)
-        )
-        k_vals = np.abs(
-            e_table[(a * sq_all[None, :] + b_values[:, None] * x_all[None, :]) % q].sum(axis=1)
-        )
-        i = int(r_vals.argmax())
-        if float(r_vals[i]) / env_r > best_restricted[0]:
-            best_restricted = (float(r_vals[i]) / env_r, a, int(b_values[i]))
-        j = int(k_vals.argmax())
-        if float(k_vals[j]) / env_k > best_korobov[0]:
-            best_korobov = (float(k_vals[j]) / env_k, a, int(b_values[j]))
-
+    omega = _profile(q).omega
+    units, _, _, _ = _modulus_tables(q)
+    korobov = np.sqrt(q * np.gcd(np.arange(q, dtype=np.int64), q))
     if q <= _LEMMA4_EXHAUSTIVE_LIMIT:
-        all_b = np.arange(q, dtype=np.int64)
-        for a in range(q):
-            scan_pair_block(a, all_b)
+        pair_a, pair_b = np.divmod(np.arange(q * q, dtype=np.int64), q)
     else:
         rng = SplitMix64(derive_seed(cfg.seed, _TAG_LEMMA4, q))
-        pairs: dict[int, list[int]] = {}
+        drawn = set()
         for _ in range(_LEMMA4_SAMPLES):
-            pairs.setdefault(rng.randrange(q), []).append(rng.randrange(q))
-        for a in sorted(pairs):
-            scan_pair_block(a, np.array(sorted(set(pairs[a])), dtype=np.int64))
+            a = rng.randrange(q)
+            drawn.add((a, rng.randrange(q)))
+        pair_a, pair_b = np.array(sorted(drawn), dtype=np.int64).T
+    full = quadratic_expsum_table(q)
+
+    def worst(table: np.ndarray, envelope: np.ndarray) -> tuple[float, int, int]:
+        # pairs run in lexicographic order, so ties go to the first (a, b)
+        ratios = np.abs(table[pair_a, pair_b]) / envelope[pair_a]
+        i = int(ratios.argmax())
+        return float(ratios[i]), int(pair_a[i]), int(pair_b[i])
 
     cases = []
-    ratio_r, a_r, b_r = best_restricted
+    ratio_r, a_r, b_r = worst(quadratic_expsum_table(q, restricted=True), korobov * 2**omega)
     value_r = quadratic_expsum(a_r, b_r, q, restricted=True)
     cases.append(
         _case(
@@ -573,7 +572,7 @@ def _lemma4_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str
             passed=ratio_r <= 2.0,
         )
     )
-    ratio_k, a_k, b_k = best_korobov
+    ratio_k, a_k, b_k = worst(full, korobov)
     cases.append(
         _case(
             "lemma4",
@@ -589,10 +588,9 @@ def _lemma4_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str
     )
     if q % 2 == 1:
         # classical complete quadratic sums: |sum| = sqrt(q) exactly for unit a
-        gauss_vals = np.abs(e_table[(units[:, None] * sq_all[None, :]) % q].sum(axis=1))
-        ratios = gauss_vals / math.sqrt(q)
-        worst = int(np.abs(ratios - 1.0).argmax())
-        a_g = int(units[worst])
+        ratios = np.abs(full[units, 0]) / math.sqrt(q)
+        worst_g = int(np.abs(ratios - 1.0).argmax())
+        a_g = int(units[worst_g])
         defect_g = float(np.abs(ratios - 1.0).max())
         cases.append(
             _case(
@@ -603,7 +601,7 @@ def _lemma4_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str
                 params={"a": a_g, "b": 0},
                 value=quadratic_expsum(a_g, 0, q, restricted=False),
                 defect=defect_g,
-                ratio=float(ratios[worst]),
+                ratio=float(ratios[worst_g]),
                 passed=defect_g <= tolerance(q) / math.sqrt(q),
             )
         )

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import charsum.character as character_module
 from charsum.arith import euler_phi, factorize, multiplicative_profile
 from charsum.character import (
+    _definitional_conductors,
     CHAR_ONE,
     CHAR_ZERO,
     MINUS_ONE,
@@ -220,6 +222,27 @@ def test_conductor_matches_definition_up_to_60():
     for q in range(1, 61):
         for chi in enumerate_characters(character_group(q)):
             assert conductor(chi) == conductor_direct(chi)
+
+
+def test_definitional_conductor_table_matches_oracle():
+    for q in [*range(1, 101), 128, 144, 150, 180, 192, 200]:
+        table = _definitional_conductors(q)
+        chars = enumerate_characters(character_group(q))
+        assert len(table) == len(chars)
+        for chi in chars:
+            assert table[chi.index] == conductor_direct(chi)
+
+
+def test_conductor_crosscheck_fires_on_mismatch(monkeypatch):
+    # a wrong component formula must be caught by the definitional table
+    monkeypatch.setattr(character_module, "_local_conductor", lambda struct, exps: struct.modulus)
+    conductor.cache_clear()
+    chi = character_group(9).character_from_exponents(((3,),))
+    try:
+        with pytest.raises(RuntimeError, match="conductor mismatch"):
+            conductor(chi)
+    finally:
+        conductor.cache_clear()
 
 
 def test_conductor_frozen_values():

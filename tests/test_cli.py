@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import charsum.sums as sums_module
 from charsum.cli import main
 from charsum.verify import ALL_CHECKS, CSV_COLUMNS
 
@@ -85,6 +86,17 @@ def test_compute_k2_naive_capacity_exit3(capsys):
     code, out, err = run_cli(capsys, "compute", "k2", "--q", "401", "--chi", "0", "--strategy", "naive")
     assert code == 3 and out == ""
     assert "error:" in err
+
+
+def test_compute_k2_row_blocks_byte_identical(capsys, monkeypatch):
+    # a budget of 500 elements splits each divisor row mod 101 into 21 blocks
+    code, out, err = run_cli(capsys, "compute", "k2", "--q", "101", "--chi", "1")
+    assert code == 0 and err == ""
+    monkeypatch.setattr(sums_module, "_ROW_BLOCK_ELEMENTS", 500)
+    code2, out2, err2 = run_cli(capsys, "compute", "k2", "--q", "101", "--chi", "1")
+    assert code2 == 0
+    assert "Traceback" not in err2 and err2 == ""
+    assert out2 == out
 
 
 def test_compute_srsum_exact_integers(capsys):

@@ -9,8 +9,10 @@ witness values.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+import charsum.sums as sums_module
 from charsum.arith import divisors
 from charsum.character import character_group, enumerate_characters, evaluate, is_primitive
 from charsum.sums import (
@@ -29,6 +31,7 @@ from charsum.sums import (
     incomplete_lambda,
     orthogonality_average,
     quadratic_expsum,
+    quadratic_expsum_table,
     second_moment,
     tolerance,
     unit_root_char_sum,
@@ -219,6 +222,21 @@ def test_lambda_divisor_orbit_identity():
                         assert abs(lhs - rhs) < TOL, (q, chi.index, g, u, n)
 
 
+def test_divisor_rows_blocks_are_bit_identical(monkeypatch):
+    # the divisor rows are gathered in blocks of t; rows are summed on their
+    # own, so any block budget gives the same bits as one block
+    for q in (36, 60, 101):
+        divs = divisors(q)
+        chars = enumerate_characters(character_group(q))
+        whole = [sums_module._divisor_rows(chi, divs) for chi in chars]
+        phi = len(units(q))
+        for budget in (1, 7 * phi):
+            monkeypatch.setattr(sums_module, "_ROW_BLOCK_ELEMENTS", budget)
+            for chi, want in zip(chars, whole):
+                assert np.array_equal(sums_module._divisor_rows(chi, divs), want)
+        monkeypatch.undo()
+
+
 def test_lambda_periodicity_in_m_and_n():
     chi = chi_of(9, 2)
     assert abs(complete_lambda(chi, 1 + 9, 2 - 9) - complete_lambda(chi, 1, 2)) < TOL
@@ -269,9 +287,10 @@ def test_gauss_sum_matches_oracle():
 
 
 def test_gauss_sum_all_consistent():
-    for q in (5, 8, 13):
+    for q in (1, 2, 5, 8, 12, 13, 36, 64, 100):
         for chi in enumerate_characters(character_group(q)):
             table = gauss_sum_all(chi)
+            assert table.shape == (q,)
             for n in range(q):
                 assert abs(table[n] - gauss_sum(chi, n)) < TOL
 
@@ -411,6 +430,17 @@ def test_quadratic_matches_oracle():
                     got = quadratic_expsum(a, b, q, restricted=restricted)
                     want = quadratic_direct(a, b, q, restricted)
                     assert abs(got - want) < TOL
+
+
+def test_quadratic_table_matches_pointwise():
+    for q in [*range(1, 31), 64, 81, 100]:
+        for restricted in (False, True):
+            table = quadratic_expsum_table(q, restricted=restricted)
+            assert table.shape == (q, q)
+            for a in range(q):
+                for b in range(q):
+                    want = quadratic_expsum(a, b, q, restricted=restricted)
+                    assert abs(table[a, b] - want) <= tolerance(q)
 
 
 def test_quadratic_frozen_values():

@@ -4,8 +4,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+import charsum.verify as verify_module
+from charsum.character import character_group, enumerate_characters, parse_character_label
+from charsum.sums import character_value_table
 from charsum.verify import (
     ALL_CHECKS,
     CSV_COLUMNS,
@@ -132,6 +136,41 @@ def test_lemma1_report_kinds():
     kinds = {c.kind for c in report.cases}
     assert kinds == {"gauss_modulus", "gauss_twist", "gauss_conj"}
     assert report.passed_all
+
+
+def bound5_window_reference(chi, m: int, n: int) -> tuple[int, int]:
+    """(start, length) of the first largest |partial sum| over the cyclic
+    windows of one draw's terms, scanned one draw at a time."""
+    q = chi.modulus
+    tab = character_value_table(chi)
+    terms = np.array(
+        [tab[(m * a + n * pow(a, -1, q)) % q] if math.gcd(a, q) == 1 else 0j for a in range(q)]
+    )
+    prefix = np.concatenate(([0j], np.cumsum(np.concatenate([terms, terms]))))
+    best = (-1.0, 0, 0)
+    for start in range(q):
+        deltas = np.abs(prefix[start : start + q + 1] - prefix[start])
+        length = int(deltas.argmax())
+        if float(deltas[length]) > best[0]:
+            best = (float(deltas[length]), start, length)
+    return best[1], best[2]
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_bound5_windows_match_per_draw_reference(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(verify_module, "_BOUND5_BLOCK_ELEMENTS", budget)
+    for q in [*range(3, 21), 60]:
+        cfg = ExperimentConfig(q_lo=q, q_hi=q, seed=5, trials=3)
+        cases = run_check("bound5", cfg).cases
+        chars = [c for c in enumerate_characters(character_group(q)) if not c.is_trivial]
+        assert [(c.chi_index, c.params["trial"]) for c in cases] == [
+            (chi.index, t) for chi in chars for t in range(3)
+        ]
+        for case in cases:
+            chi = parse_character_label(case.chi_label)
+            want = bound5_window_reference(chi, case.params["m"], case.params["n"])
+            assert (case.params["start"], case.params["length"]) == want, (q, case.params)
 
 
 def test_lemma3_pair_sum_exhaustive_small():
