@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from charsum.character import (
     character_group,
@@ -48,7 +49,9 @@ from charsum.verify import (
 _COMPUTE_KINDS = ("lambda", "gauss", "k2", "quadsum", "pairsum", "srsum")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="charsum",
         description="Character-sum computations and verification sweeps.",

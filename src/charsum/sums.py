@@ -10,10 +10,18 @@ The complete-sum kernels rest on the divisor-orbit reduction.  Write any m
 mod q as m = g*u with g = gcd(m, q) and u a unit; the substitution
 a -> u^{-1} a turns chi(g*u*a + n*abar) into chi(g*b + (u*n)*bbar), so
 Lambda(g*u, n) = Lambda(g, u*n).  Row m of the q x q table is therefore row
-gcd(m, q) permuted, and only the tau(q) divisor rows are summed directly
-(row 1 for the units, row q = 0 for m = 0).  The divisor rows are
-gathered in blocks under a fixed element budget, so memory stays bounded
-at any q.
+gcd(m, q) permuted, and only the tau(q) divisor rows are computed (row 1
+for the units, row q = 0 for m = 0).
+
+Each divisor row is one cyclic correlation.  On the units,
+chi(m*a + n*abar) = conj(chi(a)) * chi(n + m*a^2), so row g is
+sum over x of H_g(x) chi(n + x), where H_g is the histogram of g*a^2 weighted
+by conj(chi(a)); one FFT along each row gives every n, in O(tau*q) memory.
+The weighted second moment follows from the same identity.  With P the
+lambda_a conj(chi(a))-weighted histogram of a^2, row m has spectrum
+P^(k*m) times C^(k), where C^ is the FFT of chi's table.  Parseval and a
+sum over m then give (1/q) * sum over k of |C^(k)|^2 * d * S_d, with
+d = gcd(k, q) and S_d the sum of |P^(j)|^2 over the multiples j of d.
 
 Sums against e(n*x/q) at every twist n at once (all Gauss sums of a
 character, all quadratic sums e((a*x^2 + b*x)/q) of a modulus) share one
@@ -140,7 +148,7 @@ class BilinearInstance:
 
 @lru_cache(maxsize=None)
 def _modulus_tables(q: int):
-    """(units, inverse table, unit mask, e(t/q) table) for one modulus."""
+    """(units, inverse table, unit mask, e(t/q) table) for one modulus, read-only."""
     unit_mask = np.array([math.gcd(a, q) == 1 for a in range(q)])
     units = np.nonzero(unit_mask)[0].astype(np.int64)
     inv = np.zeros(q, dtype=np.int64)
@@ -148,6 +156,8 @@ def _modulus_tables(q: int):
         for a in units:
             inv[a] = pow(int(a), -1, q)
     e = np.array([RootOfUnity(t, q).to_complex() for t in range(q)], dtype=np.complex128)
+    for arr in (units, inv, unit_mask, e):
+        arr.setflags(write=False)
     return units, inv, unit_mask, e
 
 
@@ -179,7 +189,7 @@ def _roots_for_denominator(d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _dlog_arrays(q: int):
-    """Per cyclic factor: discrete logs of every residue class mod q."""
+    """Per cyclic factor: discrete logs of every residue class mod q, read-only."""
     group = character_group(q)
     _, _, unit_mask, _ = _modulus_tables(q)
     a = np.arange(q, dtype=np.int64)
@@ -192,13 +202,15 @@ def _dlog_arrays(q: int):
                 [table[r][j] if table[r] is not None else 0 for r in range(struct.modulus)],
                 dtype=np.int64,
             )
-            columns.append((order, tj[local]))
-    return unit_mask, columns
+            column = tj[local]
+            column.setflags(write=False)
+            columns.append((order, column))
+    return unit_mask, tuple(columns)
 
 
 @lru_cache(maxsize=None)
 def character_value_table(chi: DirichletCharacter) -> np.ndarray:
-    """chi(a) for a in [0, q) as a complex array (0 off the units)."""
+    """chi(a) for a in [0, q) as a read-only complex array (0 off the units)."""
     q = chi.group.modulus
     unit_mask, columns = _dlog_arrays(q)
     D = chi.group.exponent_lcm
@@ -209,6 +221,7 @@ def character_value_table(chi: DirichletCharacter) -> np.ndarray:
     num %= D
     table = _roots_for_denominator(D)[num]
     table[~unit_mask] = 0
+    table.setflags(write=False)
     return table
 
 
@@ -226,33 +239,26 @@ def complete_lambda(chi: DirichletCharacter, m: int, n: int) -> complex:
     return complex(tab[r].sum())
 
 
-# Elements of one (rows, phi) gather in _divisor_rows: 16 MB of complex terms
-# plus 8 MB of int64 index, and one block for every q <= 1024.
-_ROW_BLOCK_ELEMENTS = 1 << 20
+def _divisor_rows(chi: DirichletCharacter, gs) -> np.ndarray:
+    """Complete sums at (g, t) for t in [0, q), one row per g in gs, by FFT.
 
-
-def _divisor_rows(chi: DirichletCharacter, divs) -> np.ndarray:
-    """Complete sums at (g, t) for t in [0, q), summed directly, one row per g.
-
-    Each row is gathered as (t, unit) blocks of at most _ROW_BLOCK_ELEMENTS
-    elements; every t is summed on its own, so the blocking changes no bit.
+    Row g is the correlation sum over x of H_g(x) chi(t + x), with H_g the
+    conj(chi(a))-weighted histogram of g*a^2 over the units a.  Any residues
+    g work; the callers pass one per divisor class.
     """
     q = chi.group.modulus
-    units, inv, _, _ = _modulus_tables(q)
+    units, _, _, _ = _modulus_tables(q)
     tab = character_value_table(chi)
-    ubar = inv[units]
-    step = max(1, _ROW_BLOCK_ELEMENTS // len(units))
-    rows = np.empty((len(divs), q), dtype=np.complex128)
-    for i, g in enumerate(divs):
-        shift = int(g) * units
-        for lo in range(0, q, step):
-            t = np.arange(lo, min(lo + step, q), dtype=np.int64)
-            # in place, so no more than one index block is alive at once
-            r = t[:, None] * ubar[None, :]
-            r += shift[None, :]
-            r %= q
-            rows[i, lo : lo + len(t)] = tab[r].sum(axis=1)
-    return rows
+    tau = len(gs)
+    pos = np.asarray(gs, dtype=np.int64)[:, None] * (units * units % q)
+    pos %= q
+    pos += np.arange(tau, dtype=np.int64)[:, None] * q
+    weights = np.broadcast_to(np.conj(tab[units]), pos.shape).ravel()
+    pos = pos.ravel()
+    hist = np.bincount(pos, weights.real, tau * q) + 1j * np.bincount(pos, weights.imag, tau * q)
+    spectra = twist_sums(hist.reshape(tau, q))
+    spectra *= np.fft.fft(tab)
+    return np.fft.ifft(spectra, axis=1)
 
 
 def complete_lambda_row(chi: DirichletCharacter) -> np.ndarray:
@@ -378,21 +384,27 @@ def second_moment(chi: DirichletCharacter, strategy: str = "auto") -> float:
 
 
 def weighted_second_moment(chi: DirichletCharacter, weights: WeightVector) -> float:
-    """Second moment of the lambda_a-weighted complete sums over (m, n)."""
+    """Second moment of the lambda_a-weighted complete sums over (m, n).
+
+    Spectral: (1/q) * sum over k of |C^(k)|^2 * d * S_d with d = gcd(k, q),
+    where C^ is the FFT of chi's table and S_d sums |P^(j)|^2 over the
+    multiples j of d, P^ being the twists of the lambda_a conj(chi(a))-weighted
+    histogram of a^2.
+    """
     q = chi.group.modulus
     if weights.q != q:
         raise ValueError(f"weights live mod {weights.q}, character mod {q}")
-    units, inv, _, _ = _modulus_tables(q)
+    units, _, _, _ = _modulus_tables(q)
     tab = character_value_table(chi)
-    lam = weights.as_array()[units]
-    t = np.arange(q, dtype=np.int64)
-    ubar = inv[units]
-    total = 0.0
-    for m in range(q):
-        r = (m * units[None, :] + t[:, None] * ubar[None, :]) % q
-        rows = (tab[r] * lam[None, :]).sum(axis=1)
-        total += float((rows.real**2 + rows.imag**2).sum())
-    return total
+    lam = weights.as_array()[units] * np.conj(tab[units])
+    squares = units * units % q
+    hist = np.bincount(squares, lam.real, q) + 1j * np.bincount(squares, lam.imag, q)
+    power = np.abs(twist_sums(hist)) ** 2
+    sums_by_d = np.zeros(q + 1)
+    for d in divisors(q):
+        sums_by_d[d] = power[::d].sum()
+    d_of_k = np.gcd(np.arange(q, dtype=np.int64), q)
+    return float((np.abs(np.fft.fft(tab)) ** 2 * d_of_k * sums_by_d[d_of_k]).sum() / q)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,15 @@ Per-modulus workers batch across a modulus where they can: lemma1 takes
 every twist of every primitive character's Gauss sum from one FFT over the
 stacked character tables, lemma4 every quadratic sum from one FFT per
 q x q table, and bound5 scans the interval windows of a block of seeded
-draws at once.  Each batch keeps the per-item tie rule (first maximum in
-row-major order), and every witness is recomputed by its pointwise
-evaluator.
+draws at once.  bound4 and vanishing read the maximum of the complete
+sums from the tau(q) divisor rows and never build the q x q table.  Every
+witness is recomputed by its pointwise evaluator.
+
+Witnesses picked among near-equal or noise-level values (bound4, vanishing,
+multiplicativity, the lemma1 twist) follow one tie rule, `_first_near_max`:
+the first entry in row-major order within the check's own tolerance of the
+maximum, so a change of summation order moves no witness.  lemma4 and
+bound5 take the first exact maximum.
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ from charsum.sums import (
     twist_sums,
     unit_root_char_sum,
     weighted_second_moment,
+    _divisor_orbits,
+    _divisor_rows,
     _modulus_tables,
 )
 
@@ -261,6 +269,27 @@ def _profile(q: int):
     return multiplicative_profile(factorize(q))
 
 
+def _first_near_max(values: np.ndarray, tol: float) -> np.ndarray:
+    """Index of the first entry along the last axis within tol of its maximum."""
+    return np.argmax(values >= values.max(axis=-1, keepdims=True) - tol, axis=-1)
+
+
+def _lambda_peak(chi: DirichletCharacter, tol: float) -> tuple[int, int, float]:
+    """(m, n, max of |Lambda(m, n)|) over the q x q table, from the divisor rows.
+
+    Table row m is divisor row gcd(m, q) permuted, and the first m with
+    gcd(m, q) = g is g itself (0 for g = q), whose table row is divisor row g
+    unpermuted.  With the rows taken at those first m in ascending order, the
+    first entry within tol of the maximum is therefore the table's.
+    """
+    q = chi.modulus
+    divs, _, _ = _divisor_orbits(q)
+    first_m = np.sort(divs % q)
+    magnitudes = np.abs(_divisor_rows(chi, first_m))
+    i, n = divmod(int(_first_near_max(magnitudes.ravel(), tol)), q)
+    return int(first_m[i]), n, float(magnitudes.max())
+
+
 def _theorem1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
     group = character_group(q)
     prof = _profile(q)
@@ -302,18 +331,17 @@ def _theorem1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
 def _bound4_q(q: int) -> tuple[list[CaseRecord], list[str]]:
     prof = _profile(q)
     bound = math.sqrt(q) * 2**prof.omega
-    tol_ratio = tolerance(prof.phi) / bound
+    tol = tolerance(prof.phi)
+    tol_ratio = tol / bound
     cases = []
     notes = []
     for chi in enumerate_characters(character_group(q)):
         if chi.is_trivial:
             continue
-        table = complete_lambda_table(chi)
-        magnitudes = np.abs(table)
-        m, n = divmod(int(magnitudes.argmax()), q)
+        m, n, peak = _lambda_peak(chi, tol)
         value = complete_lambda(chi, m, n)
         primitive = is_primitive(chi)
-        passed = float(magnitudes.max()) <= bound * (1.0 + tol_ratio)
+        passed = peak <= bound * (1.0 + tol_ratio)
         if not passed and not primitive:
             notes.append(
                 f"q={q}: envelope exceeded only by the imprimitive character "
@@ -327,7 +355,7 @@ def _bound4_q(q: int) -> tuple[list[CaseRecord], list[str]]:
                 kind="bound4",
                 params={"m": m, "n": n, "primitive": primitive},
                 value=value,
-                defect=max(0.0, float(magnitudes.max()) - bound),
+                defect=max(0.0, peak - bound),
                 ratio=abs(value) / bound,
                 passed=passed,
             )
@@ -345,7 +373,7 @@ def _lemma1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
     all_twists = twist_sums(tabs)
     g1_all = all_twists[:, 1 % q]
     twist_defects = np.abs(all_twists - np.conj(tabs) * g1_all[:, None])
-    n_stars = twist_defects.argmax(axis=1)
+    n_stars = _first_near_max(twist_defects, tolerance(2 * q))
     row_of = {chi.index: i for i, chi in enumerate(primitive)}
     cases = []
     for i, chi in enumerate(primitive):
@@ -365,7 +393,7 @@ def _lemma1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
             )
         )
         n_star = int(n_stars[i])
-        defect_twist = float(twist_defects[i, n_star])
+        defect_twist = float(twist_defects[i].max())
         cases.append(
             _case(
                 "lemma1",
@@ -661,9 +689,7 @@ def _vanishing_cases(q: int) -> list[CaseRecord]:
     for chi in enumerate_characters(character_group(q)):
         if parity_flags(chi).is_completely_even:
             continue
-        table = complete_lambda_table(chi)
-        magnitudes = np.abs(table)
-        m, n = divmod(int(magnitudes.argmax()), q)
+        m, n, peak = _lambda_peak(chi, tol)
         value = complete_lambda(chi, m, n)
         cases.append(
             _case(
@@ -673,9 +699,9 @@ def _vanishing_cases(q: int) -> list[CaseRecord]:
                 kind="vanishing",
                 params={"m": m, "n": n},
                 value=value,
-                defect=float(magnitudes.max()),
+                defect=peak,
                 ratio=0.0,
-                passed=float(magnitudes.max()) <= tol,
+                passed=peak <= tol,
             )
         )
     return cases
@@ -701,7 +727,7 @@ def _multiplicativity_cases(q1: int, q2: int) -> list[CaseRecord]:
             chi = product_character(chi1, chi2)
             table = complete_lambda_table(chi)
             defects = np.abs(table - lifted1 * lifted2)
-            m, n = divmod(int(defects.argmax()), q)
+            m, n = divmod(int(_first_near_max(defects.ravel(), tol)), q)
             value = complete_lambda(chi, m, n)
             block.append(
                 _case(

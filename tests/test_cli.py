@@ -2,12 +2,12 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-import charsum.sums as sums_module
 from charsum.cli import main
 from charsum.verify import ALL_CHECKS, CSV_COLUMNS
 
@@ -88,15 +88,28 @@ def test_compute_k2_naive_capacity_exit3(capsys):
     assert "error:" in err
 
 
-def test_compute_k2_row_blocks_byte_identical(capsys, monkeypatch):
-    # a budget of 500 elements splits each divisor row mod 101 into 21 blocks
-    code, out, err = run_cli(capsys, "compute", "k2", "--q", "101", "--chi", "1")
+def test_compute_k2_large_prime(capsys):
+    # every divisor row is one O(q log q) correlation, so a large prime q fits
+    code, out, err = run_cli(capsys, "compute", "k2", "--q", "20011", "--chi", "1")
     assert code == 0 and err == ""
-    monkeypatch.setattr(sums_module, "_ROW_BLOCK_ELEMENTS", 500)
-    code2, out2, err2 = run_cli(capsys, "compute", "k2", "--q", "101", "--chi", "1")
-    assert code2 == 0
-    assert "Traceback" not in err2 and err2 == ""
-    assert out2 == out
+    assert parse_records(out)[0]["strategy"] == "reduced"
+
+
+def test_cached_parser_keeps_runs_independent(capsys, monkeypatch):
+    # one process: a usage error, then a valid compute; each prints the bytes
+    # it prints in a process of its own
+    bad = ("compute", "bogus", "--q", "5")
+    good = ("compute", "lambda", "--q", "12", "--chi", "3", "--m", "2", "--n", "5")
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(bad))
+    bad_in = (exc.value.code, *capsys.readouterr())
+    good_in = run_cli(capsys, *good)
+    env = {**os.environ, "COLUMNS": "80"}
+    for argv, (code, out, err) in ((bad, bad_in), (good, good_in)):
+        alone = _module_run(*argv, env=env)
+        assert (alone.returncode, alone.stdout, alone.stderr) == (code, out.encode(), err.encode())
+    assert bad_in[0] == 2 and good_in[0] == 0
 
 
 def test_compute_srsum_exact_integers(capsys):
@@ -255,11 +268,12 @@ def test_bilinear_empty_prime_range(capsys):
 # ---------------------------------------------------------------------------
 
 
-def _module_run(*argv):
+def _module_run(*argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "charsum", *argv],
         capture_output=True,
         timeout=300,
+        env=env,
     )
 
 

@@ -22,6 +22,7 @@ from charsum.sums import (
     WeightVector,
     bilinear_form,
     character_pair_sum,
+    character_value_table,
     complete_lambda,
     complete_lambda_row,
     complete_lambda_table,
@@ -222,19 +223,34 @@ def test_lambda_divisor_orbit_identity():
                         assert abs(lhs - rhs) < TOL, (q, chi.index, g, u, n)
 
 
-def test_divisor_rows_blocks_are_bit_identical(monkeypatch):
-    # the divisor rows are gathered in blocks of t; rows are summed on their
-    # own, so any block budget gives the same bits as one block
-    for q in (36, 60, 101):
+def test_divisor_rows_match_direct_oracle():
+    # each divisor row is a correlation taken by FFT; every row against direct
+    # sums of exact character values, at primes, prime powers and composites
+    for q in (1, 2, 12, 25, 36, 60, 64, 101, 125):
+        us = np.array(units(q), dtype=np.int64)
+        ubar = np.array([pow(int(a), -1, q) if q > 1 else 0 for a in us], dtype=np.int64)
+        t = np.arange(q, dtype=np.int64)
         divs = divisors(q)
-        chars = enumerate_characters(character_group(q))
-        whole = [sums_module._divisor_rows(chi, divs) for chi in chars]
-        phi = len(units(q))
-        for budget in (1, 7 * phi):
-            monkeypatch.setattr(sums_module, "_ROW_BLOCK_ELEMENTS", budget)
-            for chi, want in zip(chars, whole):
-                assert np.array_equal(sums_module._divisor_rows(chi, divs), want)
-        monkeypatch.undo()
+        for chi in enumerate_characters(character_group(q)):
+            values = np.array([evaluate(chi, r).to_complex() for r in range(q)])
+            rows = sums_module._divisor_rows(chi, divs)
+            for g, row in zip(divs, rows):
+                direct = values[(g * us[None, :] + t[:, None] * ubar[None, :]) % q].sum(axis=1)
+                assert np.abs(row - direct).max() <= tolerance(len(us)), (q, chi.index, g)
+
+
+def test_cached_tables_are_read_only():
+    # cached arrays are shared by every caller: an in-place write must fail
+    q = 12
+    _, columns = sums_module._dlog_arrays(q)
+    cached = [
+        *sums_module._modulus_tables(q),
+        *(column for _, column in columns),
+        character_value_table(chi_of(q, 1)),
+    ]
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
 
 
 def test_lambda_periodicity_in_m_and_n():
@@ -395,19 +411,23 @@ def test_weighted_second_moment_reduces_to_plain():
 
 def test_weighted_second_moment_direct_small():
     # independent accumulation of |sum_a lambda_a chi(m a + n abar)|^2
-    q = 6
-    chi = chi_of(q, 1)
-    lam = {1: 0.5, 5: -0.25 + 0.1j}
-    weights = WeightVector(q, lam)
-    direct = 0.0
-    for m in range(q):
-        for n in range(q):
-            inner = 0j
-            for a in units(q):
-                abar = pow(a, -1, q)
-                inner += lam[a] * evaluate(chi, (m * a + n * abar) % q).to_complex()
-            direct += abs(inner) ** 2
-    assert abs(weighted_second_moment(chi, weights) - direct) < 1e-9
+    cases = [(6, {1: 0.5, 5: -0.25 + 0.1j})]
+    for q in (1, 2, 12, 36, 60):
+        cases.append((q, {a: complex(math.cos(a), math.sin(3 * a)) / 2 for a in units(q)}))
+    for q, lam in cases:
+        group = character_group(q)
+        chi = group.character_at(1 % group.size)
+        weights = WeightVector(q, lam)
+        values = [evaluate(chi, r).to_complex() for r in range(q)]
+        direct = 0.0
+        for m in range(q):
+            for n in range(q):
+                inner = 0j
+                for a in units(q):
+                    abar = pow(a, -1, q) if q > 1 else 0
+                    inner += lam[a] * values[(m * a + n * abar) % q]
+                direct += abs(inner) ** 2
+        assert abs(weighted_second_moment(chi, weights) - direct) < 1e-9, q
 
 
 def test_weight_vector_validation():

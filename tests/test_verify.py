@@ -9,7 +9,7 @@ import pytest
 
 import charsum.verify as verify_module
 from charsum.character import character_group, enumerate_characters, parse_character_label
-from charsum.sums import character_value_table
+from charsum.sums import character_value_table, complete_lambda_table, tolerance
 from charsum.verify import (
     ALL_CHECKS,
     CSV_COLUMNS,
@@ -129,6 +129,20 @@ def test_bound4_q25_fails_on_imprimitive_lift():
     assert any("imprimitive" in note for note in report.notes)
     primitive_cases = [c for c in report.cases if c.params["primitive"]]
     assert all(c.passed for c in primitive_cases)
+
+
+def test_row_witness_is_first_near_max_of_table():
+    # bound4 and vanishing read their witness from the divisor rows; it must be
+    # the first (m, n) in row-major order of the full table within tolerance
+    for q in (12, 25, 36, 60, 64, 125):
+        tol = tolerance(phi_direct(q))
+        bound4 = {c.chi_index: (c.params["m"], c.params["n"]) for c in check_bound_complete(q).cases}
+        for chi in enumerate_characters(character_group(q)):
+            magnitudes = np.abs(complete_lambda_table(chi))
+            want = divmod(int(np.flatnonzero(magnitudes >= magnitudes.max() - tol)[0]), q)
+            m, n, peak = verify_module._lambda_peak(chi, tol)
+            assert (m, n) == want and peak == magnitudes.max(), (q, chi.index)
+            assert bound4.get(chi.index, want) == want
 
 
 def test_lemma1_report_kinds():
