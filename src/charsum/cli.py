@@ -15,7 +15,6 @@ error.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 
@@ -42,6 +41,7 @@ from charsum.verify import (
     UsageError,
     VerificationReport,
     bilinear_experiment,
+    reports_json,
     run_all,
     run_check,
 )
@@ -225,14 +225,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reports_json(reports: list[VerificationReport], bundle: bool) -> str:
-    if bundle:
-        payload = [r.to_json_obj() for r in reports]
-    else:
-        payload = reports[0].to_json_obj()
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _reports_csv(reports: list[VerificationReport]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for report in reports:
@@ -245,7 +237,7 @@ def _emit_reports(reports: list[VerificationReport], fmt: str, out, bundle: bool
     if fmt == "csv":
         text = _reports_csv(reports)
     else:
-        text = _reports_json(reports, bundle)
+        text = reports_json(reports, bundle)
     _emit(text, out)
     failed = [r for r in reports if not r.passed_all]
     for report in failed:

@@ -50,6 +50,8 @@ from charsum.character import (
 
 NAIVE_SECOND_MOMENT_LIMIT = 400
 BILINEAR_TERM_LIMIT = 10**8
+# The naive bilinear oracle costs about 4 us per term: 10**6 terms is about 4 s.
+NAIVE_BILINEAR_TERM_LIMIT = 10**6
 
 
 class CapacityError(RuntimeError):
@@ -494,6 +496,16 @@ def _dyadic_values(scale: int) -> range:
     return range(scale + 1, 2 * scale + 1)
 
 
+def _require_bilinear_capacity(term_count: int, strategy: str) -> None:
+    """Raise CapacityError when term_count is over the cap of `strategy`."""
+    if term_count > BILINEAR_TERM_LIMIT:
+        raise CapacityError(f"bilinear form has {term_count} terms, cap is {BILINEAR_TERM_LIMIT}")
+    if strategy == "naive" and term_count > NAIVE_BILINEAR_TERM_LIMIT:
+        raise CapacityError(
+            f"naive bilinear form has {term_count} terms, cap is {NAIVE_BILINEAR_TERM_LIMIT}"
+        )
+
+
 def bilinear_form(
     chi: DirichletCharacter, inst: BilinearInstance, strategy: str = "optimized"
 ) -> complex:
@@ -503,10 +515,7 @@ def bilinear_form(
     values; "optimized" precomputes a chi(m*a + n*abar) grid per a.
     """
     q = chi.group.modulus
-    if inst.term_count > BILINEAR_TERM_LIMIT:
-        raise CapacityError(
-            f"bilinear form has {inst.term_count} terms, cap is {BILINEAR_TERM_LIMIT}"
-        )
+    _require_bilinear_capacity(inst.term_count, strategy)
     a_vals = _dyadic_values(inst.a_scale)
     m_vals = _dyadic_values(inst.m_scale)
     n_vals = _dyadic_values(inst.n_scale)

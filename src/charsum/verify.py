@@ -4,7 +4,11 @@ Every check walks a family of cases, records one row per tested statement
 (worst-case witness parameters included so any row can be replayed), and
 aggregates into a VerificationReport.  Reports are deterministic: seeded
 draws derive a private subseed per (check, modulus, trial) cell, so results
-do not depend on sweep order or on the CHARSUM_THREADS setting.
+do not depend on sweep order.  Sweeps run serially in ascending q;
+CHARSUM_THREADS is still validated (`thread_count`) but changes nothing else.
+`reports_json` writes the report text from a fixed template per case,
+byte-identical to the json module's two-space indented dump of
+`to_json_obj()`, which stays as the reference.
 
 Per-modulus workers batch across a modulus where they can: lemma1 takes
 every twist of every primitive character's Gauss sum from one FFT over the
@@ -15,18 +19,18 @@ sums from the tau(q) divisor rows and never build the q x q table.  Every
 witness is recomputed by its pointwise evaluator.
 
 Witnesses picked among near-equal or noise-level values (bound4, vanishing,
-multiplicativity, the lemma1 twist) follow one tie rule, `_first_near_max`:
-the first entry in row-major order within the check's own tolerance of the
-maximum, so a change of summation order moves no witness.  lemma4 and
-bound5 take the first exact maximum.
+multiplicativity, the lemma1 twist, lemma3, pairsum) follow one tie rule,
+`_first_near_max`: the first entry in row-major order within the check's
+own tolerance of the maximum, so a change of summation order moves no
+witness.  lemma4 and bound5 take the first exact maximum.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -63,6 +67,7 @@ from charsum.sums import (
     _divisor_orbits,
     _divisor_rows,
     _modulus_tables,
+    _require_bilinear_capacity,
 )
 
 _TAG_BOUND5 = 101
@@ -258,6 +263,101 @@ class VerificationReport:
                 "notes": list(self.notes),
             },
         }
+
+
+# ---------------------------------------------------------------------------
+# report encoder: the json module's two-space indented bytes, written from a
+# fixed template per case instead of by its pure-Python indenting encoder
+# ---------------------------------------------------------------------------
+
+
+def _json_scalar(v) -> str:
+    """One JSON scalar, spelled as json.dumps spells it."""
+    if isinstance(v, str):
+        return _json_string(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == math.inf:
+            return "Infinity"
+        if v == -math.inf:
+            return "-Infinity"
+        return float.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _json_flat_dict(d: dict, pad: str) -> str:
+    """A dict of str keys and scalar values whose closing brace sits at `pad`."""
+    if not d:
+        return "{}"
+    inner = ",\n".join(f"{pad}  {_json_string(k)}: {_json_scalar(v)}" for k, v in d.items())
+    return f"{{\n{inner}\n{pad}}}"
+
+
+def _json_list(items: list, pad: str, encode) -> str:
+    """A list whose closing bracket sits at `pad`; encode(item, item_pad) -> text."""
+    if not items:
+        return "[]"
+    item_pad = pad + "  "
+    inner = ",\n".join(item_pad + encode(item, item_pad) for item in items)
+    return f"[\n{inner}\n{pad}]"
+
+
+def _json_case(c: CaseRecord, pad: str) -> str:
+    p = pad + "  "
+    return (
+        f'{{\n{p}"check": {_json_scalar(c.check)},\n'
+        f'{p}"q": {_json_scalar(c.q)},\n'
+        f'{p}"chi_index": {_json_scalar(c.chi_index)},\n'
+        f'{p}"chi_label": {_json_scalar(c.chi_label)},\n'
+        f'{p}"kind": {_json_scalar(c.kind)},\n'
+        f'{p}"params": {_json_flat_dict(c.params, p)},\n'
+        f'{p}"value_re": {_json_scalar(c.value_re)},\n'
+        f'{p}"value_im": {_json_scalar(c.value_im)},\n'
+        f'{p}"defect": {_json_scalar(c.defect)},\n'
+        f'{p}"ratio": {_json_scalar(c.ratio)},\n'
+        f'{p}"passed": {_json_scalar(c.passed)}\n{pad}}}'
+    )
+
+
+def _json_report(r: VerificationReport, pad: str) -> str:
+    p = pad + "  "
+    s = p + "  "
+    config = r.config.to_dict() if r.config else None
+    return (
+        f'{{\n{p}"check": {_json_scalar(r.check)},\n'
+        f'{p}"descriptor": {_json_scalar(r.descriptor)},\n'
+        f'{p}"config": {"null" if config is None else _json_flat_dict(config, p)},\n'
+        f'{p}"cases": {_json_list(r.cases, p, _json_case)},\n'
+        f'{p}"summary": {{\n'
+        f'{s}"tested": {_json_scalar(r.cases_tested)},\n'
+        f'{s}"passed": {_json_scalar(r.cases_passed)},\n'
+        f'{s}"max_defect": {_json_scalar(r.max_abs_defect)},\n'
+        f'{s}"max_ratio": {_json_scalar(r.max_ratio)},\n'
+        f'{s}"witnesses": {_json_list(r.witnesses(), s, _json_case)},\n'
+        f'{s}"notes": {_json_list(r.notes, s, lambda note, _: _json_scalar(note))}\n'
+        f"{p}}}\n{pad}}}"
+    )
+
+
+def reports_json(reports: list[VerificationReport], bundle: bool) -> str:
+    """The JSON text of one report, or of the array of all of them (bundle).
+
+    Byte-identical to the json module's dump of ``to_json_obj()`` (of the
+    report, or the list of them) at indent 2, plus a newline.  Params and config
+    hold str keys and scalar values; any other value raises TypeError.
+    """
+    if bundle:
+        return _json_list(reports, "", _json_report) + "\n"
+    return _json_report(reports[0], "") + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +607,15 @@ def _lemma3_q(q: int, parts: tuple[str, ...]) -> tuple[list[CaseRecord], list[st
             continue
         tab = character_value_table(chi)
         if "lemma3" in parts:
-            worst = (-1.0, 0, 0)
-            for c in range(q):
-                averages = tab[(c * units[:, None] + b_all[None, :]) % q].sum(axis=0) / phi
-                defects = np.abs(averages - coeffs[c] * tab)
-                b = int(defects.argmax())
-                if float(defects[b]) > worst[0]:
-                    worst = (float(defects[b]), c, b)
-            defect, c, b = worst
+            # defects[c, b]; the witness is the first near-maximum (c, b)
+            defects = np.stack(
+                [
+                    np.abs(tab[(c * units[:, None] + b_all) % q].sum(axis=0) / phi - coeffs[c] * tab)
+                    for c in range(q)
+                ]
+            )
+            c, b = divmod(int(_first_near_max(defects.ravel(), 2.0**-40)), q)
+            defect = float(defects.max())
             value = orthogonality_average(chi, c, b)
             cases.append(
                 _case(
@@ -530,22 +631,20 @@ def _lemma3_q(q: int, parts: tuple[str, ...]) -> tuple[list[CaseRecord], list[st
                 )
             )
         if "pairsum" in parts:
-            worst = (-1.0, 0, divs[0])
             conj_units = np.conj(tab[units])
+            rows = []
             for ell in divs:
                 buckets = np.zeros(ell, dtype=np.complex128)
                 np.add.at(buckets, units % ell, tab[units])
                 grid = buckets[(units[:, None] * (b_all[None, :] % ell)) % ell]
                 values = (conj_units[:, None] * grid).sum(axis=0)
-                if ell == q:
-                    target = tab * phi
-                else:
-                    target = np.zeros(q, dtype=np.complex128)
-                defects = np.abs(values - target)
-                y = int(defects.argmax())
-                if float(defects[y]) > worst[0]:
-                    worst = (float(defects[y]), y, ell)
-            defect, y, ell = worst
+                target = tab * phi if ell == q else 0.0
+                rows.append(np.abs(values - target))
+            # defects[ell index, y]; the witness is the first near-maximum (ell, y)
+            defects = np.stack(rows)
+            i, y = divmod(int(_first_near_max(defects.ravel(), tolerance(phi * phi))), q)
+            ell = divs[i]
+            defect = float(defects.max())
             value = character_pair_sum(chi, y, ell)
             cases.append(
                 _case(
@@ -854,8 +953,7 @@ def bilinear_experiment(
     ]
     if q is None and not primes:
         raise UsageError(f"no primes in q-range {cfg.q_lo}..{cfg.q_hi}")
-    cases = []
-    notes: list[str] = []
+    draws = []
     for trial in range(cfg.trials):
         qq = q
         if qq is None:
@@ -867,6 +965,12 @@ def bilinear_experiment(
         a_sc = a_scale if a_scale is not None else drawn
         m_sc = m_scale if m_scale is not None else drawn
         n_sc = n_scale if n_scale is not None else drawn
+        # every instance runs the naive oracle: refuse before any trial runs
+        _require_bilinear_capacity(a_sc * m_sc * n_sc, "naive")
+        draws.append((trial, qq, a_sc, m_sc, n_sc))
+    cases = []
+    notes: list[str] = []
+    for trial, qq, a_sc, m_sc, n_sc in draws:
         chars = enumerate_characters(character_group(qq))
         primitive = [c for c in chars if is_primitive(c)]
         if not primitive:
@@ -959,7 +1063,12 @@ def _require_window(name: str, q: int) -> None:
 
 
 def thread_count() -> int:
-    """Worker count from CHARSUM_THREADS (0 or unset = automatic)."""
+    """Worker count from CHARSUM_THREADS (0 or unset = automatic).
+
+    Sweeps run serially whatever the value: with the interpreter lock, a
+    thread pool made them slower, not faster.  The variable is still
+    validated, so a malformed value is a usage error.
+    """
     raw = os.environ.get("CHARSUM_THREADS", "0")
     try:
         n = int(raw)
@@ -972,24 +1081,8 @@ def thread_count() -> int:
     return max(n, 1)
 
 
-def _map_over_q(worker, qs: list[int]) -> tuple[list[CaseRecord], list[str]]:
-    workers = thread_count()
-    if workers == 1 or len(qs) <= 1:
-        results = {q: worker(q) for q in qs}
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {q: pool.submit(worker, q) for q in qs}
-        results = {q: f.result() for q, f in futures.items()}
-    cases: list[CaseRecord] = []
-    notes: list[str] = []
-    for q in sorted(results):
-        qcases, qnotes = results[q]
-        cases.extend(qcases)
-        notes.extend(qnotes)
-    return cases, notes
-
-
 def _sweep(name: str, cfg: ExperimentConfig) -> VerificationReport:
+    thread_count()  # validates CHARSUM_THREADS; the sweep itself is serial
     lo, hi = _WINDOWS[name]
     lo2, hi2 = max(cfg.q_lo, lo), min(cfg.q_hi, hi)
     if lo2 > hi2:
@@ -1023,10 +1116,12 @@ def _sweep(name: str, cfg: ExperimentConfig) -> VerificationReport:
             return _vanish_mult_q(q, ("multiplicativity",))
         raise UsageError(f"unknown check {name!r}")
 
-    cases, worker_notes = _map_over_q(worker, list(range(lo2, hi2 + 1)))
-    return VerificationReport(
-        name, f"q-range {lo2}..{hi2}", cfg, cases, notes + worker_notes
-    )
+    cases: list[CaseRecord] = []
+    for q in range(lo2, hi2 + 1):
+        qcases, qnotes = worker(q)
+        cases.extend(qcases)
+        notes.extend(qnotes)
+    return VerificationReport(name, f"q-range {lo2}..{hi2}", cfg, cases, notes)
 
 
 def run_check(name: str, cfg: ExperimentConfig) -> VerificationReport:

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+import charsum.sums as sums_module
+import charsum.verify as verify_module
 from charsum.cli import main
 from charsum.verify import ALL_CHECKS, CSV_COLUMNS
 
@@ -263,6 +265,24 @@ def test_bilinear_empty_prime_range(capsys):
     assert code == 2 and "no primes" in err
 
 
+def test_bilinear_naive_oracle_cap_exit3(capsys, monkeypatch):
+    argv = "bilinear --q 101 --A 8 --M 8 --N 8 --trials 2".split()
+    monkeypatch.setattr(sums_module, "NAIVE_BILINEAR_TERM_LIMIT", 8**3)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(sums_module, "NAIVE_BILINEAR_TERM_LIMIT", 8**3 - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    # seed 1 draws scales 8, 4, 8, 16: only the last trial is over the cap,
+    # and no trial runs
+    ran = []
+    monkeypatch.setattr(verify_module, "bilinear_form", lambda *a: ran.append(a) or 0j)
+    monkeypatch.setattr(sums_module, "NAIVE_BILINEAR_TERM_LIMIT", 16**3 - 1)
+    code, out, err = run_cli(capsys, "bilinear", "--seed", "1", "--trials", "4")
+    assert code == 3 and out == "" and err.startswith("error:")
+    assert ran == []
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------
@@ -289,3 +309,11 @@ def test_module_entry_byte_identical():
 def test_module_entry_unknown_command():
     proc = _module_run("bogus")
     assert proc.returncode == 2
+
+
+def test_bad_thread_count_is_usage_error():
+    # sweeps run serially, but CHARSUM_THREADS is still validated
+    env = {**os.environ, "CHARSUM_THREADS": "junk"}
+    proc = _module_run("verify", "bound4", "--q-range", "3..5", env=env)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr

@@ -8,14 +8,21 @@ import numpy as np
 import pytest
 
 import charsum.verify as verify_module
-from charsum.character import character_group, enumerate_characters, parse_character_label
-from charsum.sums import character_value_table, complete_lambda_table, tolerance
+from charsum.character import character_group, enumerate_characters, evaluate, parse_character_label
+from charsum.sums import (
+    character_pair_sum,
+    character_value_table,
+    complete_lambda_table,
+    orthogonality_average,
+    tolerance,
+)
 from charsum.verify import (
     ALL_CHECKS,
     CSV_COLUMNS,
     CaseRecord,
     ExperimentConfig,
     UsageError,
+    VerificationReport,
     bilinear_experiment,
     check_bound_complete,
     check_lemma1,
@@ -23,6 +30,7 @@ from charsum.verify import (
     check_theorem1,
     check_vanishing_and_multiplicativity,
     replay_case,
+    reports_json,
     run_all,
     run_check,
     thread_count,
@@ -192,6 +200,49 @@ def test_lemma3_pair_sum_exhaustive_small():
     assert report.passed_all
     kinds = {c.kind for c in report.cases}
     assert kinds == {"lemma3", "pairsum"}
+
+
+def _first_near_max_index(table: np.ndarray, tol: float) -> int:
+    flat = table.ravel()
+    floor = flat.max() - tol
+    return next(i for i, v in enumerate(flat) if v >= floor)
+
+
+def test_lemma3_pair_sum_witness_is_first_near_max_of_direct_table():
+    # both checks' defects are rounding noise, so the witness must follow the
+    # tie rule over (c, b) and (ell, y) in row-major order, not the noise
+    for q in (12, 25, 36, 60):
+        phi = phi_direct(q)
+        divs = [d for d in range(1, q + 1) if q % d == 0]
+        report = check_lemma3_and_pair_sum(q)
+        primitive = [c.chi_index for c in report.cases if c.kind == "lemma3"]
+        assert primitive
+        for chi in enumerate_characters(character_group(q)):
+            if chi.index not in primitive:
+                continue
+            values = [evaluate(chi, b).to_complex() for b in range(q)]
+            lemma3 = np.array(
+                [
+                    [
+                        abs(orthogonality_average(chi, c, b) - unit_average_coefficient(c, q) * values[b])
+                        for b in range(q)
+                    ]
+                    for c in range(q)
+                ]
+            )
+            pairsum = np.array(
+                [
+                    [abs(character_pair_sum(chi, y, ell) - (phi * values[y] if ell == q else 0)) for y in range(q)]
+                    for ell in divs
+                ]
+            )
+            c, b = divmod(_first_near_max_index(lemma3, 2.0**-40), q)
+            i, y = divmod(_first_near_max_index(pairsum, tolerance(phi * phi)), q)
+            got = {case.kind: case for case in report.cases if case.chi_index == chi.index}
+            assert got["lemma3"].params == {"c": c, "b": b}, (q, chi.index)
+            assert got["pairsum"].params == {"y": y, "ell": divs[i]}, (q, chi.index)
+            assert abs(got["lemma3"].defect - lemma3.max()) <= 2.0**-40
+            assert abs(got["pairsum"].defect - pairsum.max()) <= tolerance(phi * phi)
 
 
 def test_vanishing_and_multiplicativity_composite():
@@ -371,6 +422,39 @@ def test_report_json_schema():
     assert set(obj) == {"check", "descriptor", "config", "cases", "summary"}
     assert set(obj["summary"]) == {"tested", "passed", "max_defect", "max_ratio", "witnesses", "notes"}
     assert obj["summary"]["tested"] == 1
+
+
+def _json_dumps_text(reports, bundle):
+    payload = [r.to_json_obj() for r in reports] if bundle else reports[0].to_json_obj()
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_report_encoder_matches_json_dumps():
+    cfg = ExperimentConfig(q_lo=3, q_hi=12, seed=11, trials=2)
+    reports = run_all(cfg) + [bilinear_experiment(ExperimentConfig(q_lo=50, q_hi=80, trials=3))]
+    for report in reports:
+        assert reports_json([report], bundle=False) == _json_dumps_text([report], False), report.check
+    assert reports_json(reports, bundle=True) == _json_dumps_text(reports, True)
+
+
+def test_report_encoder_edge_values():
+    odd = CaseRecord(
+        "odd", 7, 3, 'label "quoted" \\ caf\u00e9\n', "kind", {}, math.nan, -0.0, math.inf, -math.inf, False
+    )
+    params = {"flag": True, "off": False, "n": -12, "big": 10**30, "x": 1e-300, "tiny": 5e-324}
+    plain = CaseRecord("odd", 8, -1, "", "kind", params, 0.1, 1e16, 0.0, 2.5, True)
+    empty = VerificationReport("empty", "nothing", None, [])
+    full = VerificationReport(
+        "odd", "q-range 7..8", ExperimentConfig(epsilon=-0.0), [odd, plain], ["a note: \u2713", ""]
+    )
+    for reports in ([empty], [full], [empty, full], []):
+        if reports:
+            assert reports_json(reports, bundle=False) == _json_dumps_text(reports, False)
+        assert reports_json(reports, bundle=True) == _json_dumps_text(reports, True)
+    bad = CaseRecord("bad", 5, -1, "", "k", {"n": np.int64(3)}, 0.0, 0.0, 0.0, 0.0, True)
+    for encode in (lambda r: reports_json([r], bundle=False), lambda r: _json_dumps_text([r], False)):
+        with pytest.raises(TypeError):
+            encode(VerificationReport("bad", "", None, [bad]))
 
 
 def test_params_string_formats():
