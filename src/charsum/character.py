@@ -5,6 +5,14 @@ generators from `charsum.arith`, so enumeration order, serialized labels,
 and everything derived from them is reproducible run to run.  Values are
 exact roots of unity e(t/L) = exp(2*pi*i*t/L); they are converted to
 floating complex only inside sum accumulators.
+
+Value tables come from one exact integer product: with L the per-modulus
+matrix of scaled discrete logs, the flat exponent vectors k of any set of
+characters give every value exponent as (k @ L) mod D.  One row is
+`charsum.sums.character_value_table`; every character of q at once, with
+labels, conductors, parities and conjugates, is `character_tables(q)`.
+The per-character routines (`conductor`, `parity_flags`, `evaluate`) stay
+as the oracles.
 """
 
 from __future__ import annotations
@@ -46,6 +54,18 @@ def _root_complex(num: int, den: int) -> complex:
         return complex(0.0, 1.0) if num == 1 else complex(0.0, -1.0)
     angle = 2.0 * math.pi * num / den
     return complex(math.cos(angle), math.sin(angle))
+
+
+@lru_cache(maxsize=None)
+def _roots_for_denominator(d: int) -> np.ndarray:
+    """e(t/d) for t in [0, d) as a read-only complex array.
+
+    Entry t is RootOfUnity(t, d).to_complex(): the reduced fraction's root.
+    """
+    gcds = [math.gcd(t, d) for t in range(d)]
+    roots = np.array([_root_complex(t // g, d // g) for t, g in enumerate(gcds)], dtype=np.complex128)
+    roots.setflags(write=False)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -256,6 +276,63 @@ def evaluate(chi: DirichletCharacter, a: int) -> CharacterValue:
     return CharacterValue(RootOfUnity(num, D))
 
 
+# ---------------------------------------------------------------------------
+# value tables: the values of many characters from one integer product
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _scaled_logs(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(non-unit mask, L) for one modulus, both read-only.
+
+    Row j of L holds the discrete log of every residue a mod q along the j-th
+    cyclic factor, scaled by D/order (0 off the units), so the character with
+    flat exponent vector k has chi(a) = e((k @ L)[a] / D) on the units, with
+    D = exponent_lcm.
+    """
+    group = character_group(q)
+    D = group.exponent_lcm
+    a = np.arange(q, dtype=np.int64)
+    rows = []
+    for struct in group.structures:
+        table = discrete_log_table(struct)
+        local = a % struct.modulus
+        for j, order in enumerate(struct.factor_orders):
+            tj = np.array([t[j] if t is not None else 0 for t in table], dtype=np.int64)
+            rows.append(tj[local] * (D // order))
+    logs = np.array(rows, dtype=np.int64).reshape(len(rows), q)
+    nonunit = np.gcd(a, q) != 1
+    for arr in (nonunit, logs):
+        arr.setflags(write=False)
+    return nonunit, logs
+
+
+def _exponent_rows(group: CharacterGroup) -> np.ndarray:
+    """The flat exponent vector of every character, in enumeration order, as (phi, r)."""
+    orders = group.factor_orders()
+    rows = np.array(list(itertools.product(*(range(n) for n in orders))), dtype=np.int64)
+    return rows.reshape(group.phi, len(orders))
+
+
+def _value_exponents(group: CharacterGroup, exponents: np.ndarray) -> np.ndarray:
+    """num with chi(a) = e(num[..., a] / D) on the units, for each flat exponent row.
+
+    One exact integer product, (exponents @ L) mod D.
+    """
+    _, logs = _scaled_logs(group.modulus)
+    num = exponents @ logs
+    num %= group.exponent_lcm
+    return num
+
+
+def _value_table(group: CharacterGroup, exponents: np.ndarray) -> np.ndarray:
+    """chi(a) for a in [0, q) for each flat exponent row (0 off the units)."""
+    nonunit, _ = _scaled_logs(group.modulus)
+    table = _roots_for_denominator(group.exponent_lcm)[_value_exponents(group, exponents)]
+    table[..., nonunit] = 0
+    return table
+
+
 class ParityFlags(NamedTuple):
     is_even: bool
     is_completely_even: bool
@@ -307,26 +384,15 @@ def _local_conductor(struct: UnitGroupStructure, exps: tuple[int, ...]) -> int:
 def _definitional_conductors(q: int) -> tuple[int, ...]:
     """The conductor of every character mod q by definition, indexed by chi.index.
 
-    Row i of E is the flat exponent vector of the i-th character and row u of
-    L the discrete logs of the u-th unit, each scaled by D/order, so chi_i(u)
-    = e(num[i, u]/D) with num = (E @ L^T) mod D, exactly in integers.  The
-    conductor of chi_i is the smallest f | q with num[i, u] = 0 for every
-    unit u = 1 (mod f).
+    With num the exact value exponents of every character (`_value_exponents`,
+    the product behind every value table), chi_i is trivial at the unit u
+    when num[i, u] = 0.  The conductor of chi_i is the smallest f | q with
+    num[i, u] = 0 for every unit u = 1 (mod f).
     """
     group = character_group(q)
-    D = group.exponent_lcm
-    orders = group.factor_orders()
-    exps = np.array(list(itertools.product(*(range(n) for n in orders))), dtype=np.int64)
-    exps = exps.reshape(group.phi, len(orders))
-    units = np.array([a for a in range(q) if math.gcd(a, q) == 1], dtype=np.int64)
-    logs = []
-    for struct in group.structures:
-        table = discrete_log_table(struct)
-        local = [table[a] for a in units % struct.modulus]
-        for j, order in enumerate(struct.factor_orders):
-            logs.append([t[j] * (D // order) for t in local])
-    scaled = np.array(logs, dtype=np.int64).reshape(len(orders), len(units))
-    trivial = (exps @ scaled) % D == 0
+    nonunit, _ = _scaled_logs(q)
+    units = np.flatnonzero(~nonunit)
+    trivial = _value_exponents(group, _exponent_rows(group))[:, units] == 0
     found = np.zeros(group.phi, dtype=np.int64)
     for f in divisors(q):
         ok = trivial[:, units % f == 1 % f].all(axis=1)
@@ -351,11 +417,14 @@ def conductor(chi: DirichletCharacter) -> int:
     if chi.group.modulus <= _CONDUCTOR_CROSSCHECK_LIMIT:
         direct = _definitional_conductors(chi.group.modulus)[chi.index]
         if direct != f:
-            raise RuntimeError(
-                f"conductor mismatch for {character_label(chi)}: "
-                f"components give {f}, definition gives {direct}"
-            )
+            raise _conductor_mismatch(character_label(chi), f, direct)
     return f
+
+
+def _conductor_mismatch(label: str, components: int, direct: int) -> RuntimeError:
+    return RuntimeError(
+        f"conductor mismatch for {label}: components give {components}, definition gives {direct}"
+    )
 
 
 def is_primitive(chi: DirichletCharacter) -> bool:
@@ -419,3 +488,61 @@ def product_character(
             by_prime[p] = comp
     exponents = tuple(by_prime[p] for p, _ in group.factorization.factors)
     return group.character_from_exponents(exponents)
+
+
+# ---------------------------------------------------------------------------
+# every character of one modulus at once
+# ---------------------------------------------------------------------------
+
+
+class CharacterTables(NamedTuple):
+    """Every character mod q; row i is the character of index i."""
+
+    exponents: np.ndarray  # (phi, r) flat exponent vectors
+    labels: list[str]  # character_label of each character
+    conductors: np.ndarray  # (phi,) int64
+    completely_even: np.ndarray  # (phi,) bool, parity_flags(chi).is_completely_even
+    conjugate: np.ndarray  # (phi,) int64, the index of conj(chi)
+    values: np.ndarray | None  # (phi, q) complex128, chi(a) and 0 off the units
+
+
+def character_tables(q: int, values: bool = True) -> CharacterTables:
+    """Everything the sweeps read about the characters mod q, in enumeration order.
+
+    The values are one exact integer product, the same one that gives
+    character_value_table its single row.  Label blocks, local conductors and
+    chi_p(-1) are found once per component exponent vector and combined by
+    outer products: enumeration order is lexicographic in the flat exponent
+    vector, whose components are contiguous.  Conductors keep the component
+    formula and, for q <= 200, the definitional cross-check.  Not cached:
+    the value table has phi * q entries, so callers that need no values
+    (and may pass a large q) leave it out with values=False.
+    """
+    group = character_group(q)
+    exps = _exponent_rows(group)
+    blocks: list[list[str]] = []
+    conductors = np.ones(1, dtype=np.int64)
+    even = np.ones(1, dtype=bool)
+    for (p, a), struct in zip(group.factorization.factors, group.structures):
+        local = list(itertools.product(*(range(n) for n in struct.factor_orders)))
+        blocks.append([f"{p}^{a}=" + ".".join(str(k) for k in e) for e in local])
+        local_conductors = [_local_conductor(struct, e) for e in local]
+        conductors = np.multiply.outer(conductors, local_conductors).ravel()
+        # chi_p(-1) = 1 iff sum_j k_j * t_j / order_j is an integer, t = dlog(-1)
+        t = discrete_log_table(struct)[struct.modulus - 1]
+        d = math.lcm(*struct.factor_orders)
+        steps = [d // n for n in struct.factor_orders]
+        local_even = [sum(k * tj * s for k, tj, s in zip(e, t, steps)) % d == 0 for e in local]
+        even = np.logical_and.outer(even, local_even).ravel()
+    labels = [f"{q}:" + ";".join(parts) for parts in itertools.product(*blocks)]
+    if q <= _CONDUCTOR_CROSSCHECK_LIMIT:
+        direct = np.array(_definitional_conductors(q), dtype=np.int64)
+        wrong = np.flatnonzero(direct != conductors)
+        if wrong.size:
+            i = int(wrong[0])
+            raise _conductor_mismatch(labels[i], int(conductors[i]), int(direct[i]))
+    orders = group.factor_orders()
+    radix = np.array([math.prod(orders[j + 1 :]) for j in range(len(orders))], dtype=np.int64)
+    conjugate = (-exps % np.array(orders, dtype=np.int64)) @ radix
+    table = _value_table(group, exps) if values else None
+    return CharacterTables(exps, labels, conductors, even, conjugate, table)

@@ -27,6 +27,12 @@ Sums against e(n*x/q) at every twist n at once (all Gauss sums of a
 character, all quadratic sums e((a*x^2 + b*x)/q) of a modulus) share one
 kernel, `twist_sums`: an unscaled inverse FFT along the last axis.
 
+Each pointwise evaluator of one character (complete and incomplete sums,
+Gauss sums, unit averages, pair sums, the reduced and weighted second
+moments) is a thin wrapper over a private core that takes chi's value
+table, so the sweeps can pass a row of `character_tables(q)` and get the
+same arithmetic.
+
 Dyadic ranges follow the convention x ~ X meaning X < x <= 2X.
 """
 
@@ -39,11 +45,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from charsum.arith import discrete_log_table, divisors, mod_inverse, square_roots_of_unity
+from charsum.arith import divisors, mod_inverse, square_roots_of_unity
 from charsum.character import (
     DirichletCharacter,
-    RootOfUnity,
-    character_group,
+    _roots_for_denominator,
+    _value_table,
     evaluate,
     is_primitive,
 )
@@ -157,10 +163,9 @@ def _modulus_tables(q: int):
     if q > 1:
         for a in units:
             inv[a] = pow(int(a), -1, q)
-    e = np.array([RootOfUnity(t, q).to_complex() for t in range(q)], dtype=np.complex128)
-    for arr in (units, inv, unit_mask, e):
+    for arr in (units, inv, unit_mask):
         arr.setflags(write=False)
-    return units, inv, unit_mask, e
+    return units, inv, unit_mask, _roots_for_denominator(q)
 
 
 @lru_cache(maxsize=None)
@@ -185,44 +190,13 @@ def _divisor_orbits(q: int):
 
 
 @lru_cache(maxsize=None)
-def _roots_for_denominator(d: int) -> np.ndarray:
-    return np.array([RootOfUnity(t, d).to_complex() for t in range(d)], dtype=np.complex128)
-
-
-@lru_cache(maxsize=None)
-def _dlog_arrays(q: int):
-    """Per cyclic factor: discrete logs of every residue class mod q, read-only."""
-    group = character_group(q)
-    _, _, unit_mask, _ = _modulus_tables(q)
-    a = np.arange(q, dtype=np.int64)
-    columns: list[tuple[int, np.ndarray]] = []
-    for struct in group.structures:
-        table = discrete_log_table(struct)
-        local = a % struct.modulus
-        for j, order in enumerate(struct.factor_orders):
-            tj = np.array(
-                [table[r][j] if table[r] is not None else 0 for r in range(struct.modulus)],
-                dtype=np.int64,
-            )
-            column = tj[local]
-            column.setflags(write=False)
-            columns.append((order, column))
-    return unit_mask, tuple(columns)
-
-
-@lru_cache(maxsize=None)
 def character_value_table(chi: DirichletCharacter) -> np.ndarray:
-    """chi(a) for a in [0, q) as a read-only complex array (0 off the units)."""
-    q = chi.group.modulus
-    unit_mask, columns = _dlog_arrays(q)
-    D = chi.group.exponent_lcm
-    num = np.zeros(q, dtype=np.int64)
-    flat = [k for comp in chi.exponents for k in comp]
-    for k, (order, tj) in zip(flat, columns):
-        num += k * tj * (D // order)
-    num %= D
-    table = _roots_for_denominator(D)[num]
-    table[~unit_mask] = 0
+    """chi(a) for a in [0, q) as a read-only complex array (0 off the units).
+
+    The one-row case of the integer product behind `character_tables`.
+    """
+    flat = np.array([k for comp in chi.exponents for k in comp], dtype=np.int64)
+    table = _value_table(chi.group, flat)
     table.setflags(write=False)
     return table
 
@@ -234,23 +208,27 @@ def character_value_table(chi: DirichletCharacter) -> np.ndarray:
 
 def complete_lambda(chi: DirichletCharacter, m: int, n: int) -> complex:
     """Sum of chi(m*a + n*abar) over all units a mod q."""
-    q = chi.group.modulus
+    return _complete_lambda(character_value_table(chi), m, n)
+
+
+def _complete_lambda(tab: np.ndarray, m: int, n: int) -> complex:
+    """complete_lambda on chi's value table (its length is q)."""
+    q = len(tab)
     units, inv, _, _ = _modulus_tables(q)
-    tab = character_value_table(chi)
     r = (m % q * units + n % q * inv[units]) % q
     return complex(tab[r].sum())
 
 
-def _divisor_rows(chi: DirichletCharacter, gs) -> np.ndarray:
+def _divisor_rows(tab: np.ndarray, gs) -> np.ndarray:
     """Complete sums at (g, t) for t in [0, q), one row per g in gs, by FFT.
 
-    Row g is the correlation sum over x of H_g(x) chi(t + x), with H_g the
-    conj(chi(a))-weighted histogram of g*a^2 over the units a.  Any residues
-    g work; the callers pass one per divisor class.
+    tab is chi's value table.  Row g is the correlation sum over x of
+    H_g(x) chi(t + x), with H_g the conj(chi(a))-weighted histogram of g*a^2
+    over the units a.  Any residues g work; the callers pass one per divisor
+    class.
     """
-    q = chi.group.modulus
+    q = len(tab)
     units, _, _, _ = _modulus_tables(q)
-    tab = character_value_table(chi)
     tau = len(gs)
     pos = np.asarray(gs, dtype=np.int64)[:, None] * (units * units % q)
     pos %= q
@@ -265,7 +243,7 @@ def _divisor_rows(chi: DirichletCharacter, gs) -> np.ndarray:
 
 def complete_lambda_row(chi: DirichletCharacter) -> np.ndarray:
     """The values of the complete sum at (1, t) for every t in [0, q)."""
-    return _divisor_rows(chi, (1,))[0]
+    return _divisor_rows(character_value_table(chi), (1,))[0]
 
 
 def complete_lambda_table(chi: DirichletCharacter) -> np.ndarray:
@@ -277,7 +255,7 @@ def complete_lambda_table(chi: DirichletCharacter) -> np.ndarray:
     """
     q = chi.group.modulus
     divs, slot, unit = _divisor_orbits(q)
-    rows = _divisor_rows(chi, divs)
+    rows = _divisor_rows(character_value_table(chi), divs)
     t = np.arange(q, dtype=np.int64)
     idx = unit[:, None] * t[None, :]
     idx %= q
@@ -289,13 +267,17 @@ def incomplete_lambda(
     chi: DirichletCharacter, m: int, n: int, interval: IntervalSpec
 ) -> complex:
     """Sum of chi(m*a + n*abar) over units a in the given interval."""
-    q = chi.group.modulus
+    return _incomplete_lambda(character_value_table(chi), m, n, interval)
+
+
+def _incomplete_lambda(tab: np.ndarray, m: int, n: int, interval: IntervalSpec) -> complex:
+    """incomplete_lambda on chi's value table (its length is q)."""
+    q = len(tab)
     if interval.length > q:
         raise ValueError(f"interval length {interval.length} exceeds the modulus {q}")
     if interval.length == 0:
         return 0j
     units, inv, unit_mask, _ = _modulus_tables(q)
-    tab = character_value_table(chi)
     idx = (interval.start + np.arange(interval.length, dtype=np.int64)) % q
     r = (m % q * idx + n % q * inv[idx]) % q
     return complex((tab[r] * unit_mask[idx]).sum())
@@ -303,9 +285,13 @@ def incomplete_lambda(
 
 def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
     """Sum of chi(a) e(n*a/q) over a mod q."""
-    q = chi.group.modulus
+    return _gauss_sum(character_value_table(chi), n)
+
+
+def _gauss_sum(tab: np.ndarray, n: int) -> complex:
+    """gauss_sum on chi's value table (its length is q)."""
+    q = len(tab)
     _, _, _, e = _modulus_tables(q)
-    tab = character_value_table(chi)
     t = np.arange(q, dtype=np.int64)
     return complex((tab * e[(n % q) * t % q]).sum())
 
@@ -379,8 +365,13 @@ def second_moment(chi: DirichletCharacter, strategy: str = "auto") -> float:
         return total
     if strategy != "reduced":
         raise ValueError(f"unknown second-moment strategy {strategy!r}")
-    divs, slot, _ = _divisor_orbits(q)
-    rows = _divisor_rows(chi, divs)
+    return _reduced_second_moment(tab)
+
+
+def _reduced_second_moment(tab: np.ndarray) -> float:
+    """The "reduced" second moment on chi's value table (its length is q)."""
+    divs, slot, _ = _divisor_orbits(len(tab))
+    rows = _divisor_rows(tab, divs)
     norms = (rows.real**2 + rows.imag**2).sum(axis=1)
     return float((np.bincount(slot) * norms).sum())
 
@@ -396,8 +387,13 @@ def weighted_second_moment(chi: DirichletCharacter, weights: WeightVector) -> fl
     q = chi.group.modulus
     if weights.q != q:
         raise ValueError(f"weights live mod {weights.q}, character mod {q}")
+    return _weighted_second_moment(character_value_table(chi), weights)
+
+
+def _weighted_second_moment(tab: np.ndarray, weights: WeightVector) -> float:
+    """weighted_second_moment on chi's value table (its length is q = weights.q)."""
+    q = len(tab)
     units, _, _, _ = _modulus_tables(q)
-    tab = character_value_table(chi)
     lam = weights.as_array()[units] * np.conj(tab[units])
     squares = units * units % q
     hist = np.bincount(squares, lam.real, q) + 1j * np.bincount(squares, lam.imag, q)
@@ -454,20 +450,28 @@ def orthogonality_average(chi: DirichletCharacter, c: int, b: int) -> complex:
             "the closed form does not apply",
             stacklevel=2,
         )
-    q = chi.group.modulus
+    return _orthogonality_average(character_value_table(chi), c, b)
+
+
+def _orthogonality_average(tab: np.ndarray, c: int, b: int) -> complex:
+    """orthogonality_average on chi's value table (its length is q), without the warning."""
+    q = len(tab)
     units, _, _, _ = _modulus_tables(q)
-    tab = character_value_table(chi)
     r = (c % q * units + b % q) % q
     return complex(tab[r].sum() / len(units))
 
 
 def character_pair_sum(chi: DirichletCharacter, y: int, ell: int) -> complex:
     """Sum of chi(c) conj(chi(d)) over unit pairs with c = d*y (mod ell)."""
-    q = chi.group.modulus
+    return _character_pair_sum(character_value_table(chi), y, ell)
+
+
+def _character_pair_sum(tab: np.ndarray, y: int, ell: int) -> complex:
+    """character_pair_sum on chi's value table (its length is q)."""
+    q = len(tab)
     if ell < 1 or q % ell != 0:
         raise ValueError(f"{ell} does not divide the modulus {q}")
     units, _, _, _ = _modulus_tables(q)
-    tab = character_value_table(chi)
     buckets = np.zeros(ell, dtype=np.complex128)
     np.add.at(buckets, units % ell, tab[units])
     return complex((np.conj(tab[units]) * buckets[(units * (y % ell)) % ell]).sum())

@@ -10,13 +10,20 @@ CHARSUM_THREADS is still validated (`thread_count`) but changes nothing else.
 byte-identical to the json module's two-space indented dump of
 `to_json_obj()`, which stays as the reference.
 
-Per-modulus workers batch across a modulus where they can: lemma1 takes
-every twist of every primitive character's Gauss sum from one FFT over the
-stacked character tables, lemma4 every quadratic sum from one FFT per
-q x q table, and bound5 scans the interval windows of a block of seeded
-draws at once.  bound4 and vanishing read the maximum of the complete
-sums from the tau(q) divisor rows and never build the q x q table.  Every
-witness is recomputed by its pointwise evaluator.
+Per-modulus workers batch across a modulus where they can.  Each takes
+the characters of q from one `character_tables(q)` call (exponent rows,
+labels, conductors, the completely-even mask, conjugate indices and the
+(phi, q) value table, built by one integer product and dropped when the
+worker returns) and loops over character indices only to build records;
+no character object is made except where an exact per-character routine
+needs one (theorem1's unit-root sum, the bilinear naive oracle,
+multiplicativity's product characters).  lemma1 takes every twist of every
+primitive character's Gauss sum from one FFT over the primitive rows,
+lemma4 every quadratic sum from one FFT per q x q table, and bound5 scans
+the interval windows of a block of seeded draws at once.  bound4 and
+vanishing read the maximum of the complete sums from the tau(q) divisor
+rows and never build the q x q table.  Every witness is recomputed
+pointwise, by the core of its evaluator applied to the character's row.
 
 Witnesses picked among near-equal or noise-level values (bound4, vanishing,
 multiplicativity, the lemma1 twist, lemma3, pairsum) follow one tie rule,
@@ -36,11 +43,9 @@ import numpy as np
 
 from charsum.arith import divisors, factorize, multiplicative_profile
 from charsum.character import (
-    DirichletCharacter,
     character_group,
+    character_tables,
     enumerate_characters,
-    is_primitive,
-    parity_flags,
     parse_character_label,
     product_character,
 )
@@ -50,7 +55,6 @@ from charsum.sums import (
     IntervalSpec,
     WeightVector,
     bilinear_form,
-    character_value_table,
     complete_lambda,
     complete_lambda_table,
     gauss_sum,
@@ -64,10 +68,17 @@ from charsum.sums import (
     twist_sums,
     unit_root_char_sum,
     weighted_second_moment,
+    _character_pair_sum,
+    _complete_lambda,
     _divisor_orbits,
     _divisor_rows,
+    _gauss_sum,
+    _incomplete_lambda,
     _modulus_tables,
+    _orthogonality_average,
+    _reduced_second_moment,
     _require_bilinear_capacity,
+    _weighted_second_moment,
 )
 
 _TAG_BOUND5 = 101
@@ -101,6 +112,12 @@ class ExperimentConfig:
     coeff_model: str = "unit-disc"
     epsilon: float = 0.1
     gamma: float = 2.0
+
+    def __post_init__(self):
+        for name in ("epsilon", "gamma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise UsageError(f"{name} must be finite, got {value!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -190,7 +207,7 @@ class CaseRecord:
 def _case(
     check: str,
     q: int,
-    chi: DirichletCharacter | None,
+    chi: tuple[int, str] | None,
     kind: str,
     params: dict,
     value: complex,
@@ -198,11 +215,13 @@ def _case(
     ratio: float,
     passed: bool,
 ) -> CaseRecord:
+    """One record; chi is the character's (index, label), or None."""
+    chi_index, chi_label = chi if chi is not None else (-1, "")
     return CaseRecord(
         check=check,
         q=q,
-        chi_index=chi.index if chi is not None else -1,
-        chi_label=chi.label if chi is not None else "",
+        chi_index=chi_index,
+        chi_label=chi_label,
         kind=kind,
         params=params,
         value_re=float(value.real),
@@ -298,7 +317,10 @@ def _json_flat_dict(d: dict, pad: str) -> str:
     """A dict of str keys and scalar values whose closing brace sits at `pad`."""
     if not d:
         return "{}"
-    inner = ",\n".join(f"{pad}  {_json_string(k)}: {_json_scalar(v)}" for k, v in d.items())
+    inner = ",\n".join(
+        f"{pad}  {_json_string(k)}: {int.__repr__(v) if type(v) is int else _json_scalar(v)}"
+        for k, v in d.items()
+    )
     return f"{{\n{inner}\n{pad}}}"
 
 
@@ -311,20 +333,44 @@ def _json_list(items: list, pad: str, encode) -> str:
     return f"[\n{inner}\n{pad}]"
 
 
-def _json_case(c: CaseRecord, pad: str) -> str:
+def _json_case(c: CaseRecord, pad: str, strings: dict) -> str:
+    """One case; strings caches the JSON text of each str field within one report."""
     p = pad + "  "
+    check, label, kind = c.check, c.chi_label, c.kind
+    if type(check) is str and type(label) is str and type(kind) is str:
+        check_text = strings.get(check) or strings.setdefault(check, _json_string(check))
+        label_text = strings.get(label) or strings.setdefault(label, _json_string(label))
+        kind_text = strings.get(kind) or strings.setdefault(kind, _json_string(kind))
+    else:
+        check_text, label_text, kind_text = _json_scalar(check), _json_scalar(label), _json_scalar(kind)
+    q, index, passed = c.q, c.chi_index, c.passed
+    re, im, defect, ratio = c.value_re, c.value_im, c.defect, c.ratio
+    # x - x is 0.0 exactly when x is a finite float: NaN and +-Infinity go to _json_scalar
+    if (
+        type(re) is float
+        and type(im) is float
+        and type(defect) is float
+        and type(ratio) is float
+        and (re - re) + (im - im) + (defect - defect) + (ratio - ratio) == 0.0
+    ):
+        re_text, im_text = float.__repr__(re), float.__repr__(im)
+        defect_text, ratio_text = float.__repr__(defect), float.__repr__(ratio)
+    else:
+        re_text, im_text = _json_scalar(re), _json_scalar(im)
+        defect_text, ratio_text = _json_scalar(defect), _json_scalar(ratio)
     return (
-        f'{{\n{p}"check": {_json_scalar(c.check)},\n'
-        f'{p}"q": {_json_scalar(c.q)},\n'
-        f'{p}"chi_index": {_json_scalar(c.chi_index)},\n'
-        f'{p}"chi_label": {_json_scalar(c.chi_label)},\n'
-        f'{p}"kind": {_json_scalar(c.kind)},\n'
+        f'{{\n{p}"check": {check_text},\n'
+        f'{p}"q": {int.__repr__(q) if type(q) is int else _json_scalar(q)},\n'
+        f'{p}"chi_index": {int.__repr__(index) if type(index) is int else _json_scalar(index)},\n'
+        f'{p}"chi_label": {label_text},\n'
+        f'{p}"kind": {kind_text},\n'
         f'{p}"params": {_json_flat_dict(c.params, p)},\n'
-        f'{p}"value_re": {_json_scalar(c.value_re)},\n'
-        f'{p}"value_im": {_json_scalar(c.value_im)},\n'
-        f'{p}"defect": {_json_scalar(c.defect)},\n'
-        f'{p}"ratio": {_json_scalar(c.ratio)},\n'
-        f'{p}"passed": {_json_scalar(c.passed)}\n{pad}}}'
+        f'{p}"value_re": {re_text},\n'
+        f'{p}"value_im": {im_text},\n'
+        f'{p}"defect": {defect_text},\n'
+        f'{p}"ratio": {ratio_text},\n'
+        f'{p}"passed": {"true" if passed is True else "false" if passed is False else _json_scalar(passed)}'
+        f"\n{pad}}}"
     )
 
 
@@ -332,17 +378,22 @@ def _json_report(r: VerificationReport, pad: str) -> str:
     p = pad + "  "
     s = p + "  "
     config = r.config.to_dict() if r.config else None
+    strings: dict[str, str] = {}
+
+    def case(c: CaseRecord, item_pad: str) -> str:
+        return _json_case(c, item_pad, strings)
+
     return (
         f'{{\n{p}"check": {_json_scalar(r.check)},\n'
         f'{p}"descriptor": {_json_scalar(r.descriptor)},\n'
         f'{p}"config": {"null" if config is None else _json_flat_dict(config, p)},\n'
-        f'{p}"cases": {_json_list(r.cases, p, _json_case)},\n'
+        f'{p}"cases": {_json_list(r.cases, p, case)},\n'
         f'{p}"summary": {{\n'
         f'{s}"tested": {_json_scalar(r.cases_tested)},\n'
         f'{s}"passed": {_json_scalar(r.cases_passed)},\n'
         f'{s}"max_defect": {_json_scalar(r.max_abs_defect)},\n'
         f'{s}"max_ratio": {_json_scalar(r.max_ratio)},\n'
-        f'{s}"witnesses": {_json_list(r.witnesses(), s, _json_case)},\n'
+        f'{s}"witnesses": {_json_list(r.witnesses(), s, case)},\n'
         f'{s}"notes": {_json_list(r.notes, s, lambda note, _: _json_scalar(note))}\n'
         f"{p}}}\n{pad}}}"
     )
@@ -369,23 +420,49 @@ def _profile(q: int):
     return multiplicative_profile(factorize(q))
 
 
+def _epsilon_power(q: int, epsilon: float, shift: float = 0.0) -> float:
+    """q ** (shift + epsilon), the epsilon factor of an envelope.
+
+    A usage error unless it is a positive finite float: past that range the
+    envelope, and every ratio to it, means nothing.
+    """
+    try:
+        value = q ** (shift + epsilon)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise UsageError(
+            f"epsilon = {epsilon!r} puts q^{shift + epsilon!r} out of floating-point range at q = {q}"
+        )
+    return value
+
+
+def _log_power(n: int, gamma: float) -> float:
+    """log(n) ** gamma, taken as +inf where it overflows or is 0 ** (negative gamma)."""
+    try:
+        return math.log(n) ** gamma
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def _first_near_max(values: np.ndarray, tol: float) -> np.ndarray:
     """Index of the first entry along the last axis within tol of its maximum."""
     return np.argmax(values >= values.max(axis=-1, keepdims=True) - tol, axis=-1)
 
 
-def _lambda_peak(chi: DirichletCharacter, tol: float) -> tuple[int, int, float]:
-    """(m, n, max of |Lambda(m, n)|) over the q x q table, from the divisor rows.
+def _lambda_peak(tab: np.ndarray, tol: float) -> tuple[int, int, float]:
+    """(m, n, max of |Lambda(m, n)|) over the q x q table of the character
+    whose value table is tab, from the divisor rows.
 
     Table row m is divisor row gcd(m, q) permuted, and the first m with
     gcd(m, q) = g is g itself (0 for g = q), whose table row is divisor row g
     unpermuted.  With the rows taken at those first m in ascending order, the
     first entry within tol of the maximum is therefore the table's.
     """
-    q = chi.modulus
+    q = len(tab)
     divs, _, _ = _divisor_orbits(q)
     first_m = np.sort(divs % q)
-    magnitudes = np.abs(_divisor_rows(chi, first_m))
+    magnitudes = np.abs(_divisor_rows(tab, first_m))
     i, n = divmod(int(_first_near_max(magnitudes.ravel(), tol)), q)
     return int(first_m[i]), n, float(magnitudes.max())
 
@@ -396,14 +473,11 @@ def _theorem1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
     phi, omega = prof.phi, prof.omega
     envelope = q * phi * phi * 2**omega
     tol = 2.0**-40 * q**3
+    chars = character_tables(q)
     cases: list[CaseRecord] = []
-    for chi in enumerate_characters(group):
-        if not parity_flags(chi).is_completely_even:
-            continue
-        if not is_primitive(chi):
-            continue
-        moment = second_moment(chi, "reduced")
-        s = unit_root_char_sum(chi)
+    for index in np.flatnonzero(chars.completely_even & (chars.conductors == q)).tolist():
+        moment = _reduced_second_moment(chars.values[index])
+        s = unit_root_char_sum(group.character_at(index))
         target = q * phi * phi * s
         defect = abs(moment - target)
         ok = defect <= tol
@@ -415,7 +489,7 @@ def _theorem1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
             _case(
                 "theorem1",
                 q,
-                chi,
+                (index, chars.labels[index]),
                 kind="theorem1",
                 params={"S": s},
                 value=complex(moment),
@@ -433,25 +507,26 @@ def _bound4_q(q: int) -> tuple[list[CaseRecord], list[str]]:
     bound = math.sqrt(q) * 2**prof.omega
     tol = tolerance(prof.phi)
     tol_ratio = tol / bound
+    chars = character_tables(q)
     cases = []
     notes = []
-    for chi in enumerate_characters(character_group(q)):
-        if chi.is_trivial:
-            continue
-        m, n, peak = _lambda_peak(chi, tol)
-        value = complete_lambda(chi, m, n)
-        primitive = is_primitive(chi)
+    for index in range(1, len(chars.labels)):  # index 0 is the trivial character
+        tab = chars.values[index]
+        label = chars.labels[index]
+        m, n, peak = _lambda_peak(tab, tol)
+        value = _complete_lambda(tab, m, n)
+        primitive = bool(chars.conductors[index] == q)
         passed = peak <= bound * (1.0 + tol_ratio)
         if not passed and not primitive:
             notes.append(
                 f"q={q}: envelope exceeded only by the imprimitive character "
-                f"{chi.label} (|value|={abs(value):.6g} > {bound:.6g})"
+                f"{label} (|value|={abs(value):.6g} > {bound:.6g})"
             )
         cases.append(
             _case(
                 "bound4",
                 q,
-                chi,
+                (index, label),
                 kind="bound4",
                 params={"m": m, "n": n, "primitive": primitive},
                 value=value,
@@ -465,18 +540,20 @@ def _bound4_q(q: int) -> tuple[list[CaseRecord], list[str]]:
 
 def _lemma1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
     root_q = math.sqrt(q)
-    primitive = [chi for chi in enumerate_characters(character_group(q)) if is_primitive(chi)]
+    chars = character_tables(q)
+    primitive = np.flatnonzero(chars.conductors == q).tolist()
     if not primitive:
         return [], []
     # one row per primitive character: every twist of every Gauss sum at once
-    tabs = np.stack([character_value_table(chi) for chi in primitive])
+    tabs = chars.values[primitive]
     all_twists = twist_sums(tabs)
     g1_all = all_twists[:, 1 % q]
     twist_defects = np.abs(all_twists - np.conj(tabs) * g1_all[:, None])
     n_stars = _first_near_max(twist_defects, tolerance(2 * q))
-    row_of = {chi.index: i for i, chi in enumerate(primitive)}
+    row_of = {index: i for i, index in enumerate(primitive)}
     cases = []
-    for i, chi in enumerate(primitive):
+    for i, index in enumerate(primitive):
+        chi = (index, chars.labels[index])
         g1 = complex(g1_all[i])
         defect_mod = abs(abs(g1) - root_q)
         cases.append(
@@ -501,7 +578,7 @@ def _lemma1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
                 chi,
                 kind="gauss_twist",
                 params={"n": n_star},
-                value=gauss_sum(chi, n_star),
+                value=_gauss_sum(tabs[i], n_star),
                 defect=defect_twist,
                 ratio=0.0,
                 passed=defect_twist <= tolerance(2 * q),
@@ -509,7 +586,7 @@ def _lemma1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
         )
         # the conjugate is primitive too; its own row gives G(conj chi, 1)
         sign = complex(tabs[i, q - 1])
-        conj_g1 = complex(g1_all[row_of[chi.conjugate().index]])
+        conj_g1 = complex(g1_all[row_of[int(chars.conjugate[index])]])
         conj_defect = abs(np.conj(g1) - sign * conj_g1)
         cases.append(
             _case(
@@ -528,19 +605,17 @@ def _lemma1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
 
 
 def _bound5_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
-    denom = q ** (0.5 + cfg.epsilon)
+    denom = _epsilon_power(q, cfg.epsilon, 0.5)
     _, inv, _, _ = _modulus_tables(q)
-    chars = enumerate_characters(character_group(q))
-    tables = np.stack([character_value_table(chi) for chi in chars])
+    chars = character_tables(q)
+    tables = chars.values
     draws = []
-    for chi in chars:
-        if chi.is_trivial:
-            continue
+    for index in range(1, len(tables)):  # index 0 is the trivial character
         for trial in range(cfg.trials):
-            rng = SplitMix64(derive_seed(cfg.seed, _TAG_BOUND5, q, chi.index, trial))
+            rng = SplitMix64(derive_seed(cfg.seed, _TAG_BOUND5, q, index, trial))
             m = rng.randrange(q)
             n = rng.randrange(q)
-            draws.append((chi, trial, m, n))
+            draws.append((index, trial, m, n))
     # deltas[k, s, l] = |terms of draw k summed over [s, s + l)|, for a block
     # of draws at a time: every draw's windows are scanned as in a loop of its own
     a = np.arange(q, dtype=np.int64)
@@ -548,7 +623,7 @@ def _bound5_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str
     cases = []
     for lo in range(0, len(draws), block):
         chunk = draws[lo : lo + block]
-        rows = np.array([chi.index for chi, _, _, _ in chunk], dtype=np.int64)
+        rows = np.array([index for index, _, _, _ in chunk], dtype=np.int64)
         m = np.array([mk for _, _, mk, _ in chunk], dtype=np.int64)
         n = np.array([nk for _, _, _, nk in chunk], dtype=np.int64)
         # inv is 0 off the units, where m*a + n*inv[a] is a non-unit: terms are 0
@@ -558,14 +633,14 @@ def _bound5_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str
         windows = np.lib.stride_tricks.sliding_window_view(prefix, q + 1, axis=1)[:, :q]
         deltas = np.abs(windows - prefix[:, :q, None])
         best = deltas.reshape(len(chunk), -1).argmax(axis=1)
-        for (chi, trial, mk, nk), flat in zip(chunk, best):
+        for (index, trial, mk, nk), flat in zip(chunk, best):
             start, length = divmod(int(flat), q + 1)
-            value = incomplete_lambda(chi, mk, nk, IntervalSpec(start, length))
+            value = _incomplete_lambda(tables[index], mk, nk, IntervalSpec(start, length))
             cases.append(
                 _case(
                     "bound5",
                     q,
-                    chi,
+                    (index, chars.labels[index]),
                     kind="bound5",
                     params={"m": mk, "n": nk, "start": start, "length": length, "trial": trial},
                     value=value,
@@ -595,17 +670,16 @@ def unit_average_coefficient(c: int, q: int) -> float:
 
 
 def _lemma3_q(q: int, parts: tuple[str, ...]) -> tuple[list[CaseRecord], list[str]]:
-    group = character_group(q)
+    chars = character_tables(q)
     units, _, _, _ = _modulus_tables(q)
     phi = len(units)
     b_all = np.arange(q, dtype=np.int64)
     divs = divisors(q)
     coeffs = np.array([unit_average_coefficient(c, q) for c in range(q)])
     cases = []
-    for chi in enumerate_characters(group):
-        if not is_primitive(chi):
-            continue
-        tab = character_value_table(chi)
+    for index in np.flatnonzero(chars.conductors == q).tolist():
+        chi = (index, chars.labels[index])
+        tab = chars.values[index]
         if "lemma3" in parts:
             # defects[c, b]; the witness is the first near-maximum (c, b)
             defects = np.stack(
@@ -616,7 +690,7 @@ def _lemma3_q(q: int, parts: tuple[str, ...]) -> tuple[list[CaseRecord], list[st
             )
             c, b = divmod(int(_first_near_max(defects.ravel(), 2.0**-40)), q)
             defect = float(defects.max())
-            value = orthogonality_average(chi, c, b)
+            value = _orthogonality_average(tab, c, b)
             cases.append(
                 _case(
                     "lemma3",
@@ -645,7 +719,7 @@ def _lemma3_q(q: int, parts: tuple[str, ...]) -> tuple[list[CaseRecord], list[st
             i, y = divmod(int(_first_near_max(defects.ravel(), tolerance(phi * phi))), q)
             ell = divs[i]
             defect = float(defects.max())
-            value = character_pair_sum(chi, y, ell)
+            value = _character_pair_sum(tab, y, ell)
             cases.append(
                 _case(
                     "pairsum",
@@ -742,22 +816,21 @@ def _theorem2_weights(cfg: ExperimentConfig, q: int, trial: int) -> WeightVector
 
 
 def _theorem2_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
-    group = character_group(q)
-    chars = enumerate_characters(group)
+    chars = character_tables(q)
     prof = _profile(q)
     envelope = q * prof.phi**2 * 2**prof.omega
     cases = []
     for trial in range(cfg.trials):
         rng_chi = SplitMix64(derive_seed(cfg.seed, _TAG_T2_CHI, q, trial))
-        chi = chars[rng_chi.randrange(len(chars))]
+        index = rng_chi.randrange(len(chars.labels))
         weights = _theorem2_weights(cfg, q, trial)
-        moment = weighted_second_moment(chi, weights)
+        moment = _weighted_second_moment(chars.values[index], weights)
         ratio = moment / envelope
         cases.append(
             _case(
                 "theorem2",
                 q,
-                chi,
+                (index, chars.labels[index]),
                 kind="theorem2",
                 params={"trial": trial},
                 value=complex(moment),
@@ -784,17 +857,17 @@ def _coprime_splittings(q: int) -> list[tuple[int, int]]:
 def _vanishing_cases(q: int) -> list[CaseRecord]:
     prof = _profile(q)
     tol = tolerance(prof.phi)
+    chars = character_tables(q)
     cases = []
-    for chi in enumerate_characters(character_group(q)):
-        if parity_flags(chi).is_completely_even:
-            continue
-        m, n, peak = _lambda_peak(chi, tol)
-        value = complete_lambda(chi, m, n)
+    for index in np.flatnonzero(~chars.completely_even).tolist():
+        tab = chars.values[index]
+        m, n, peak = _lambda_peak(tab, tol)
+        value = _complete_lambda(tab, m, n)
         cases.append(
             _case(
                 "vanishing",
                 q,
-                chi,
+                (index, chars.labels[index]),
                 kind="vanishing",
                 params={"m": m, "n": n},
                 value=value,
@@ -832,7 +905,7 @@ def _multiplicativity_cases(q1: int, q2: int) -> list[CaseRecord]:
                 _case(
                     "multiplicativity",
                     q,
-                    chi,
+                    (chi.index, chi.label),
                     kind="multiplicativity",
                     params={
                         "q1": q1,
@@ -946,6 +1019,8 @@ def bilinear_experiment(
     over the primes in the configured range, scales uniform over {4, 8, 16}
     (one draw applied to all unpinned scales).
     """
+    if q is not None and q < 2:
+        raise UsageError(f"bilinear needs a modulus q >= 2, got {q}")
     primes = [
         p
         for p in range(max(cfg.q_lo, 3), cfg.q_hi + 1)
@@ -967,17 +1042,19 @@ def bilinear_experiment(
         n_sc = n_scale if n_scale is not None else drawn
         # every instance runs the naive oracle: refuse before any trial runs
         _require_bilinear_capacity(a_sc * m_sc * n_sc, "naive")
-        draws.append((trial, qq, a_sc, m_sc, n_sc))
+        draws.append((trial, qq, a_sc, m_sc, n_sc, _epsilon_power(qq, cfg.epsilon)))
     cases = []
     notes: list[str] = []
-    for trial, qq, a_sc, m_sc, n_sc in draws:
-        chars = enumerate_characters(character_group(qq))
-        primitive = [c for c in chars if is_primitive(c)]
+    for trial, qq, a_sc, m_sc, n_sc, q_eps in draws:
+        # only the conductors: q may be far too large for a (phi, q) value table
+        chars = character_tables(qq, values=False)
+        primitive = np.flatnonzero(chars.conductors == qq).tolist()
         if not primitive:
             notes.append(f"trial {trial}: no primitive character mod {qq}, skipped")
             continue
         rng_chi = SplitMix64(derive_seed(cfg.seed, _TAG_BIL_CHI, trial))
-        chi = primitive[rng_chi.randrange(len(primitive))]
+        index = primitive[rng_chi.randrange(len(primitive))]
+        chi = character_group(qq).character_at(index)
         inst = _bilinear_instance(cfg, trial, a_sc, m_sc, n_sc)
         optimized = bilinear_form(chi, inst, "optimized")
         naive = bilinear_form(chi, inst, "naive")
@@ -987,15 +1064,15 @@ def bilinear_experiment(
         prof = _profile(qq)
         poly = qq**0.75 * prof.tau**2.5 * math.log(qq) ** 2
         env3 = norms * math.sqrt(n_sc) * poly
-        env6 = norms * math.sqrt(m_sc * n_sc * qq) * qq**cfg.epsilon
+        env6 = norms * math.sqrt(m_sc * n_sc * qq) * q_eps
         env_sym = norms * math.sqrt(min(m_sc, n_sc)) * poly
         magnitude = abs(optimized)
-        hypothesis_ok = factorize(qq).smallest_prime >= math.log(n_sc) ** cfg.gamma
+        hypothesis_ok = factorize(qq).smallest_prime >= _log_power(n_sc, cfg.gamma)
         cases.append(
             _case(
                 "bilinear",
                 qq,
-                chi,
+                (index, chars.labels[index]),
                 kind="bilinear",
                 params={
                     "trial": trial,

@@ -8,12 +8,14 @@ conductor fast path against a from-scratch factor-through oracle.
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import charsum.character as character_module
 from charsum.arith import euler_phi, factorize, multiplicative_profile
+from charsum.sums import character_value_table
 from charsum.character import (
     _definitional_conductors,
     CHAR_ONE,
@@ -24,6 +26,7 @@ from charsum.character import (
     RootOfUnity,
     character_group,
     character_label,
+    character_tables,
     conductor,
     enumerate_characters,
     evaluate,
@@ -70,6 +73,16 @@ def test_root_normalization():
     assert RootOfUnity(3, 6) == RootOfUnity(1, 2) == MINUS_ONE
     assert RootOfUnity(8, 4) == ONE
     assert RootOfUnity(-1, 4) == RootOfUnity(3, 4)
+
+
+def test_roots_table_is_root_of_unity_bit_for_bit():
+    # the cached table behind every character value table and e(t/q)
+    for d in [*range(1, 101), 128, 210, 256, 1000]:
+        table = character_module._roots_for_denominator(d)
+        for t in range(d):
+            want = RootOfUnity(t, d).to_complex()
+            assert (table[t].real, table[t].imag) == (want.real, want.imag), (t, d)
+            assert math.copysign(1.0, table[t].imag) == math.copysign(1.0, want.imag), (t, d)
 
 
 def test_root_products_exact():
@@ -241,8 +254,32 @@ def test_conductor_crosscheck_fires_on_mismatch(monkeypatch):
     try:
         with pytest.raises(RuntimeError, match="conductor mismatch"):
             conductor(chi)
+        # character_tables runs the same cross-check on every character
+        with pytest.raises(RuntimeError, match="conductor mismatch"):
+            character_tables(9)
     finally:
         conductor.cache_clear()
+
+
+def test_character_tables_match_per_character_oracles():
+    # character_tables against each per-character counterpart
+    for q in [*range(1, 61), 64, 128, 144, 150, 180, 192, 200, 210, 256, 300]:
+        tables = character_tables(q)
+        chars = enumerate_characters(character_group(q))
+        assert tables.exponents.shape[0] == len(chars) == tables.values.shape[0]
+        assert tables.values.shape[1] == q
+        for i, chi in enumerate(chars):
+            assert tables.exponents[i].tolist() == [k for comp in chi.exponents for k in comp]
+            assert np.array_equal(tables.values[i], character_value_table(chi)), (q, i)
+            exact = [evaluate(chi, a).to_complex() for a in range(q)]
+            assert tables.values[i].tolist() == exact, (q, i)
+            assert tables.labels[i] == chi.label
+            assert tables.conductors[i] == conductor_direct(chi), (q, i)
+            assert tables.completely_even[i] == parity_flags(chi).is_completely_even, (q, i)
+            assert tables.conjugate[i] == chi.conjugate().index, (q, i)
+        no_values = character_tables(q, values=False)
+        assert no_values.values is None and no_values.labels == tables.labels
+        assert np.array_equal(no_values.conductors, tables.conductors)
 
 
 def test_conductor_frozen_values():

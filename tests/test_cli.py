@@ -317,3 +317,34 @@ def test_bad_thread_count_is_usage_error():
     proc = _module_run("verify", "bound4", "--q-range", "3..5", env=env)
     assert proc.returncode == 2 and proc.stdout == b""
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # no prime divides q = 1, so the bilinear hypothesis has no smallest prime
+        ("bilinear", "--q", "1", "--trials", "1"),
+        # q^(1/2+epsilon) and q^epsilon overflow, or underflow to 0
+        ("verify", "bound5", "--q-range", "3..3", "--epsilon", "1e308"),
+        ("verify", "bound5", "--q-range", "3..3", "--epsilon=-1e308"),
+        ("bilinear", "--q", "7", "--trials", "1", "--A", "1", "--M", "1", "--N", "1", "--epsilon", "1e308"),
+        # non-finite knobs
+        ("verify", "bound5", "--q-range", "3..3", "--epsilon", "nan"),
+        ("bilinear", "--q", "7", "--trials", "1", "--gamma", "inf"),
+    ],
+)
+def test_out_of_range_inputs_are_usage_errors(argv):
+    proc = _module_run(*argv)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
+    assert proc.stderr.count(b"\n") == 1
+
+
+def test_bilinear_extreme_gamma_fails_the_hypothesis(capsys):
+    # log(N)^gamma beyond float range, or 0^gamma for gamma < 0 at N = 1, is +inf
+    for n_scale, gamma in (("1", "-1"), ("4", "1e308"), ("2", "-1e308")):
+        code, out, err = run_cli(
+            capsys, "bilinear", "--q", "7", "--trials", "1", "--A", "1", "--M", "1", "--N", n_scale, f"--gamma={gamma}"
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["cases"][0]["params"]["hypothesis_ok"] is False

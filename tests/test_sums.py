@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import charsum.character as character_module
 import charsum.sums as sums_module
 from charsum.arith import divisors
 from charsum.character import character_group, enumerate_characters, evaluate, is_primitive
@@ -233,7 +234,7 @@ def test_divisor_rows_match_direct_oracle():
         divs = divisors(q)
         for chi in enumerate_characters(character_group(q)):
             values = np.array([evaluate(chi, r).to_complex() for r in range(q)])
-            rows = sums_module._divisor_rows(chi, divs)
+            rows = sums_module._divisor_rows(character_value_table(chi), divs)
             for g, row in zip(divs, rows):
                 direct = values[(g * us[None, :] + t[:, None] * ubar[None, :]) % q].sum(axis=1)
                 assert np.abs(row - direct).max() <= tolerance(len(us)), (q, chi.index, g)
@@ -242,11 +243,11 @@ def test_divisor_rows_match_direct_oracle():
 def test_cached_tables_are_read_only():
     # cached arrays are shared by every caller: an in-place write must fail
     q = 12
-    _, columns = sums_module._dlog_arrays(q)
     cached = [
         *sums_module._modulus_tables(q),
-        *(column for _, column in columns),
+        *character_module._scaled_logs(q),
         character_value_table(chi_of(q, 1)),
+        character_module._roots_for_denominator(character_group(q).exponent_lcm),
     ]
     for arr in cached:
         with pytest.raises(ValueError):

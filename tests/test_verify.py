@@ -148,7 +148,7 @@ def test_row_witness_is_first_near_max_of_table():
         for chi in enumerate_characters(character_group(q)):
             magnitudes = np.abs(complete_lambda_table(chi))
             want = divmod(int(np.flatnonzero(magnitudes >= magnitudes.max() - tol)[0]), q)
-            m, n, peak = verify_module._lambda_peak(chi, tol)
+            m, n, peak = verify_module._lambda_peak(character_value_table(chi), tol)
             assert (m, n) == want and peak == magnitudes.max(), (q, chi.index)
             assert bound4.get(chi.index, want) == want
 
@@ -443,9 +443,19 @@ def test_report_encoder_edge_values():
     )
     params = {"flag": True, "off": False, "n": -12, "big": 10**30, "x": 1e-300, "tiny": 5e-324}
     plain = CaseRecord("odd", 8, -1, "", "kind", params, 0.1, 1e16, 0.0, 2.5, True)
+    # finite and non-finite floats in one record, with a label another record repeats
+    nonfinite = CaseRecord(
+        "odd", 9, 4, "9:3^2=4", "kind", {"x": math.nan, "y": -math.inf}, 1.5, math.inf, math.nan, 0.25, True
+    )
+    # values the json module spells by their base type: bool index, int and float64 floats
+    loose = CaseRecord("odd", 9, True, "9:3^2=4", "kind", {}, 3, np.float64(0.5), -0.0, 1e-320, False)
     empty = VerificationReport("empty", "nothing", None, [])
     full = VerificationReport(
-        "odd", "q-range 7..8", ExperimentConfig(epsilon=-0.0), [odd, plain], ["a note: \u2713", ""]
+        "odd",
+        "q-range 7..8",
+        ExperimentConfig(epsilon=-0.0),
+        [odd, plain, nonfinite, loose],
+        ["a note: \u2713", ""],
     )
     for reports in ([empty], [full], [empty, full], []):
         if reports:
