@@ -48,6 +48,14 @@ from charsum.verify import (
 
 _COMPUTE_KINDS = ("lambda", "gauss", "k2", "quadsum", "pairsum", "srsum")
 
+# Largest phi(q) * q that `compute --chi all` accepts for the kinds that read
+# value tables (all but srsum).  Each character's q-entry table stays cached
+# for the run at 16 bytes an entry, so the cap holds them to 256 MB; past it
+# the request is a capacity error (exit 3) instead of a numpy memory error.
+# Just under the cap, at q = 4093 (phi * q = 16.75M), `compute gauss --chi
+# all` takes about 1 s and 291 MB peak RSS on a 2-CPU Xeon VM.
+CHI_ALL_TABLE_LIMIT = 2**24
+
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
@@ -116,9 +124,15 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _select_characters(q: int, selector: str):
+def _select_characters(q: int, selector: str, kind: str):
     group = character_group(q)
     if selector == "all":
+        # srsum evaluates each character at the square roots of unity only
+        if kind != "srsum" and group.size * q > CHI_ALL_TABLE_LIMIT:
+            raise CapacityError(
+                f"--chi all at q = {q} would cache {group.size} value tables of {q} entries"
+                f" ({group.size * q} > {CHI_ALL_TABLE_LIMIT}); name one character instead"
+            )
         return enumerate_characters(group)
     if selector.isdigit():
         index = int(selector)
@@ -177,7 +191,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             )
         )
     else:
-        for chi in _select_characters(q, args.chi):
+        for chi in _select_characters(q, args.chi, kind):
             base = [("kind", kind), ("q", q), ("chi_index", chi.index), ("chi_label", chi.label)]
             if kind == "lambda":
                 if (args.start is None) != (args.length is None):
@@ -252,9 +266,10 @@ def _emit_reports(reports: list[VerificationReport], fmt: str, out, bundle: bool
     return 1 if failed else 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """The sweep configuration shared by `verify` and `bilinear`."""
     q_lo, q_hi = _parse_range(args.q_range)
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         q_lo=q_lo,
         q_hi=q_hi,
         seed=args.seed,
@@ -263,6 +278,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         gamma=args.gamma,
     )
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    cfg = _config(args)
     if args.check == "all":
         reports = run_all(cfg)
         return _emit_reports(reports, args.format, args.out, bundle=True)
@@ -271,18 +290,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bilinear(args: argparse.Namespace) -> int:
-    q_lo, q_hi = _parse_range(args.q_range)
-    cfg = ExperimentConfig(
-        q_lo=q_lo,
-        q_hi=q_hi,
-        seed=args.seed,
-        trials=args.trials,
-        coeff_model=args.coeff_model,
-        epsilon=args.epsilon,
-        gamma=args.gamma,
-    )
     report = bilinear_experiment(
-        cfg, q=args.q, a_scale=args.A, m_scale=args.M, n_scale=args.N
+        _config(args), q=args.q, a_scale=args.A, m_scale=args.M, n_scale=args.N
     )
     return _emit_reports([report], args.format, args.out, bundle=False)
 

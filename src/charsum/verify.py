@@ -2,9 +2,15 @@
 
 Every check walks a family of cases, records one row per tested statement
 (worst-case witness parameters included so any row can be replayed), and
-aggregates into a VerificationReport.  Reports are deterministic: seeded
-draws derive a private subseed per (check, modulus, trial) cell, so results
-do not depend on sweep order.  Sweeps run serially in ascending q;
+aggregates into a VerificationReport.  One registry, `_CHECKS`, maps each
+check name in canonical `verify all` order to its q window, its per-modulus
+worker `(q, cfg) -> (cases, notes)` and its replay `(case, cfg) -> complex`;
+`ALL_CHECKS`, `run_check` (name check, window clamping, sweep) and
+`replay_case` (keyed by `case.check`) all read it, so adding a check is one
+entry.  A single modulus is checked with
+`run_check(name, ExperimentConfig(q_lo=q, q_hi=q))`.  Reports are
+deterministic: seeded draws derive a private subseed per (check, modulus,
+trial) cell, so results do not depend on sweep order.  Sweeps run serially in ascending q;
 CHARSUM_THREADS is still validated (`thread_count`) but changes nothing else.
 `reports_json` writes the report text from a fixed template per case,
 byte-identical to the json module's two-space indented dump of
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -118,6 +125,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise UsageError(f"{name} must be finite, got {value!r}")
+        # a negative count would run no trial and pass vacuously
+        if self.trials < 0:
+            raise UsageError(f"trials must be >= 0, got {self.trials}")
 
     def to_dict(self) -> dict:
         return {
@@ -467,7 +477,7 @@ def _lambda_peak(tab: np.ndarray, tol: float) -> tuple[int, int, float]:
     return int(first_m[i]), n, float(magnitudes.max())
 
 
-def _theorem1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
+def _theorem1_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
     group = character_group(q)
     prof = _profile(q)
     phi, omega = prof.phi, prof.omega
@@ -502,7 +512,7 @@ def _theorem1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
     return cases, notes
 
 
-def _bound4_q(q: int) -> tuple[list[CaseRecord], list[str]]:
+def _bound4_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
     prof = _profile(q)
     bound = math.sqrt(q) * 2**prof.omega
     tol = tolerance(prof.phi)
@@ -538,7 +548,7 @@ def _bound4_q(q: int) -> tuple[list[CaseRecord], list[str]]:
     return cases, notes
 
 
-def _lemma1_q(q: int) -> tuple[list[CaseRecord], list[str]]:
+def _lemma1_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
     root_q = math.sqrt(q)
     chars = character_tables(q)
     primitive = np.flatnonzero(chars.conductors == q).tolist()
@@ -669,70 +679,76 @@ def unit_average_coefficient(c: int, q: int) -> float:
     return w * q / prof.phi
 
 
-def _lemma3_q(q: int, parts: tuple[str, ...]) -> tuple[list[CaseRecord], list[str]]:
+def _lemma3_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
+    chars = character_tables(q)
+    units, _, _, _ = _modulus_tables(q)
+    phi = len(units)
+    b_all = np.arange(q, dtype=np.int64)
+    coeffs = np.array([unit_average_coefficient(c, q) for c in range(q)])
+    cases = []
+    for index in np.flatnonzero(chars.conductors == q).tolist():
+        tab = chars.values[index]
+        # defects[c, b]; the witness is the first near-maximum (c, b)
+        defects = np.stack(
+            [
+                np.abs(tab[(c * units[:, None] + b_all) % q].sum(axis=0) / phi - coeffs[c] * tab)
+                for c in range(q)
+            ]
+        )
+        c, b = divmod(int(_first_near_max(defects.ravel(), 2.0**-40)), q)
+        defect = float(defects.max())
+        cases.append(
+            _case(
+                "lemma3",
+                q,
+                (index, chars.labels[index]),
+                kind="lemma3",
+                params={"c": c, "b": b},
+                value=_orthogonality_average(tab, c, b),
+                defect=defect,
+                ratio=0.0,
+                passed=defect <= 2.0**-40,
+            )
+        )
+    return cases, []
+
+
+def _pairsum_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
     chars = character_tables(q)
     units, _, _, _ = _modulus_tables(q)
     phi = len(units)
     b_all = np.arange(q, dtype=np.int64)
     divs = divisors(q)
-    coeffs = np.array([unit_average_coefficient(c, q) for c in range(q)])
     cases = []
     for index in np.flatnonzero(chars.conductors == q).tolist():
-        chi = (index, chars.labels[index])
         tab = chars.values[index]
-        if "lemma3" in parts:
-            # defects[c, b]; the witness is the first near-maximum (c, b)
-            defects = np.stack(
-                [
-                    np.abs(tab[(c * units[:, None] + b_all) % q].sum(axis=0) / phi - coeffs[c] * tab)
-                    for c in range(q)
-                ]
+        conj_units = np.conj(tab[units])
+        rows = []
+        for ell in divs:
+            buckets = np.zeros(ell, dtype=np.complex128)
+            np.add.at(buckets, units % ell, tab[units])
+            grid = buckets[(units[:, None] * (b_all[None, :] % ell)) % ell]
+            values = (conj_units[:, None] * grid).sum(axis=0)
+            target = tab * phi if ell == q else 0.0
+            rows.append(np.abs(values - target))
+        # defects[ell index, y]; the witness is the first near-maximum (ell, y)
+        defects = np.stack(rows)
+        i, y = divmod(int(_first_near_max(defects.ravel(), tolerance(phi * phi))), q)
+        ell = divs[i]
+        defect = float(defects.max())
+        cases.append(
+            _case(
+                "pairsum",
+                q,
+                (index, chars.labels[index]),
+                kind="pairsum",
+                params={"y": y, "ell": ell},
+                value=_character_pair_sum(tab, y, ell),
+                defect=defect,
+                ratio=0.0,
+                passed=defect <= tolerance(phi * phi),
             )
-            c, b = divmod(int(_first_near_max(defects.ravel(), 2.0**-40)), q)
-            defect = float(defects.max())
-            value = _orthogonality_average(tab, c, b)
-            cases.append(
-                _case(
-                    "lemma3",
-                    q,
-                    chi,
-                    kind="lemma3",
-                    params={"c": c, "b": b},
-                    value=value,
-                    defect=defect,
-                    ratio=0.0,
-                    passed=defect <= 2.0**-40,
-                )
-            )
-        if "pairsum" in parts:
-            conj_units = np.conj(tab[units])
-            rows = []
-            for ell in divs:
-                buckets = np.zeros(ell, dtype=np.complex128)
-                np.add.at(buckets, units % ell, tab[units])
-                grid = buckets[(units[:, None] * (b_all[None, :] % ell)) % ell]
-                values = (conj_units[:, None] * grid).sum(axis=0)
-                target = tab * phi if ell == q else 0.0
-                rows.append(np.abs(values - target))
-            # defects[ell index, y]; the witness is the first near-maximum (ell, y)
-            defects = np.stack(rows)
-            i, y = divmod(int(_first_near_max(defects.ravel(), tolerance(phi * phi))), q)
-            ell = divs[i]
-            defect = float(defects.max())
-            value = _character_pair_sum(tab, y, ell)
-            cases.append(
-                _case(
-                    "pairsum",
-                    q,
-                    chi,
-                    kind="pairsum",
-                    params={"y": y, "ell": ell},
-                    value=value,
-                    defect=defect,
-                    ratio=0.0,
-                    passed=defect <= tolerance(phi * phi),
-                )
-            )
+        )
     return cases, []
 
 
@@ -854,7 +870,7 @@ def _coprime_splittings(q: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-def _vanishing_cases(q: int) -> list[CaseRecord]:
+def _vanishing_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
     prof = _profile(q)
     tol = tolerance(prof.phi)
     chars = character_tables(q)
@@ -876,7 +892,7 @@ def _vanishing_cases(q: int) -> list[CaseRecord]:
                 passed=peak <= tol,
             )
         )
-    return cases
+    return cases, []
 
 
 def _multiplicativity_cases(q1: int, q2: int) -> list[CaseRecord]:
@@ -924,86 +940,16 @@ def _multiplicativity_cases(q1: int, q2: int) -> list[CaseRecord]:
     return [case for block in blocks for case in block]
 
 
-def _vanish_mult_q(q: int, parts: tuple[str, ...]) -> tuple[list[CaseRecord], list[str]]:
+def _multiplicativity_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
     cases: list[CaseRecord] = []
-    if "vanishing" in parts:
-        cases.extend(_vanishing_cases(q))
-    if "multiplicativity" in parts:
-        for q1, q2 in _coprime_splittings(q):
-            cases.extend(_multiplicativity_cases(q1, q2))
+    for q1, q2 in _coprime_splittings(q):
+        cases.extend(_multiplicativity_cases(q1, q2))
     return cases, []
 
 
 # ---------------------------------------------------------------------------
-# public check entry points
+# bilinear experiment
 # ---------------------------------------------------------------------------
-
-_ALL_PARTS = ("vanishing", "multiplicativity")
-
-
-def check_theorem1(q: int) -> VerificationReport:
-    """Second-moment identity, vanishing at 8 | q, and the envelope bounds."""
-    _require_window("theorem1", q)
-    cases, notes = _theorem1_q(q)
-    return VerificationReport("theorem1", f"q={q}", None, cases, notes)
-
-
-def check_bound_complete(q: int) -> VerificationReport:
-    """Exhaustive max of |complete sum| against sqrt(q) * 2^omega(q)."""
-    _require_window("bound4", q)
-    cases, notes = _bound4_q(q)
-    return VerificationReport("bound4", f"q={q}", None, cases, notes)
-
-
-def check_lemma1(q: int) -> VerificationReport:
-    """Gauss-sum modulus, twist, and conjugation identities for primitive chi."""
-    _require_window("lemma1", q)
-    cases, notes = _lemma1_q(q)
-    return VerificationReport("lemma1", f"q={q}", None, cases, notes)
-
-
-def check_incomplete_bound(cfg: ExperimentConfig) -> VerificationReport:
-    """Observed |incomplete sum| / q^(1/2+eps) over all intervals (report only)."""
-    return _sweep("bound5", cfg)
-
-
-def check_lemma3_and_pair_sum(
-    q: int, parts: tuple[str, ...] = ("lemma3", "pairsum")
-) -> VerificationReport:
-    """Unit averages against their divisor-product closed form, and the
-    constrained pair sum against its vanishing rule, all shifts exhaustively."""
-    _require_window("lemma3", q)
-    cases, notes = _lemma3_q(q, parts)
-    name = parts[0] if len(parts) == 1 else "lemma3"
-    return VerificationReport(name, f"q={q}", None, cases, notes)
-
-
-def check_lemma4(cfg: ExperimentConfig) -> VerificationReport:
-    """Quadratic exponential sums against the Korobov-type envelopes."""
-    return _sweep("lemma4", cfg)
-
-
-def check_theorem2(cfg: ExperimentConfig) -> VerificationReport:
-    """Weighted second moment under seeded bounded coefficients."""
-    return _sweep("theorem2", cfg)
-
-
-def check_vanishing_and_multiplicativity(
-    q1: int, q2: int, parts: tuple[str, ...] = _ALL_PARTS
-) -> VerificationReport:
-    """Vanishing off completely even characters; component factorization."""
-    if math.gcd(q1, q2) != 1:
-        raise UsageError(f"moduli {q1} and {q2} are not coprime")
-    q = q1 * q2
-    _require_window("vanishing", q)
-    cases: list[CaseRecord] = []
-    if "vanishing" in parts:
-        cases.extend(_vanishing_cases(q))
-    if "multiplicativity" in parts and q1 > 1:
-        lo, hi = sorted((q1, q2))
-        cases.extend(_multiplicativity_cases(lo, hi))
-    name = parts[0] if len(parts) == 1 else "vanishing"
-    return VerificationReport(name, f"q={q1}*{q2}", None, cases, [])
 
 
 def bilinear_experiment(
@@ -1103,40 +1049,65 @@ def _bilinear_instance(
 
 
 # ---------------------------------------------------------------------------
-# sweep driver
+# check registry and sweep driver
 # ---------------------------------------------------------------------------
 
-_WINDOWS = {
-    "theorem1": (3, 200),
-    "bound4": (3, 150),
-    "bound5": (3, 100),
-    "lemma1": (1, 150),
-    "lemma3": (1, 60),
-    "pairsum": (1, 60),
-    "lemma4": (1, 300),
-    "theorem2": (3, 100),
-    "vanishing": (1, 100),
-    "multiplicativity": (1, 100),
+
+@dataclass(frozen=True)
+class _Check:
+    """A check's q window, its per-modulus worker and its witness replay."""
+
+    window: tuple[int, int]
+    worker: Callable[[int, ExperimentConfig], tuple[list[CaseRecord], list[str]]]
+    replay: Callable[[CaseRecord, ExperimentConfig | None], complex]
+
+
+def _chi(case: CaseRecord):
+    return parse_character_label(case.chi_label)
+
+
+def _replay_complete(case: CaseRecord, config: ExperimentConfig | None) -> complex:
+    return complete_lambda(_chi(case), case.params["m"], case.params["n"])
+
+
+def _replay_bound5(case: CaseRecord, config: ExperimentConfig | None) -> complex:
+    p = case.params
+    return incomplete_lambda(_chi(case), p["m"], p["n"], IntervalSpec(p["start"], p["length"]))
+
+
+def _replay_theorem2(case: CaseRecord, config: ExperimentConfig | None) -> complex:
+    if config is None:
+        raise ValueError("theorem2 replay needs the experiment config")
+    weights = _theorem2_weights(config, case.q, case.params["trial"])
+    return complex(weighted_second_moment(_chi(case), weights))
+
+
+# Every check in canonical `verify all` order: adding a check is one entry.
+_CHECKS = {
+    "theorem1": _Check((3, 200), _theorem1_q, lambda case, _: complex(second_moment(_chi(case)))),
+    "bound4": _Check((3, 150), _bound4_q, _replay_complete),
+    "bound5": _Check((3, 100), _bound5_q, _replay_bound5),
+    # gauss_twist records its n; gauss_modulus and gauss_conj are at n = 1
+    "lemma1": _Check((1, 150), _lemma1_q, lambda case, _: gauss_sum(_chi(case), case.params.get("n", 1))),
+    "lemma3": _Check(
+        (1, 60), _lemma3_q, lambda case, _: orthogonality_average(_chi(case), case.params["c"], case.params["b"])
+    ),
+    "pairsum": _Check(
+        (1, 60), _pairsum_q, lambda case, _: character_pair_sum(_chi(case), case.params["y"], case.params["ell"])
+    ),
+    "lemma4": _Check(
+        (1, 300),
+        _lemma4_q,
+        lambda case, _: quadratic_expsum(
+            case.params["a"], case.params["b"], case.q, restricted=case.kind == "lemma4_restricted"
+        ),
+    ),
+    "theorem2": _Check((3, 100), _theorem2_q, _replay_theorem2),
+    "vanishing": _Check((1, 100), _vanishing_q, _replay_complete),
+    "multiplicativity": _Check((1, 100), _multiplicativity_q, _replay_complete),
 }
 
-ALL_CHECKS = (
-    "theorem1",
-    "bound4",
-    "bound5",
-    "lemma1",
-    "lemma3",
-    "pairsum",
-    "lemma4",
-    "theorem2",
-    "vanishing",
-    "multiplicativity",
-)
-
-
-def _require_window(name: str, q: int) -> None:
-    lo, hi = _WINDOWS[name]
-    if not lo <= q <= hi:
-        raise UsageError(f"check {name} accepts {lo} <= q <= {hi}, got {q}")
+ALL_CHECKS = tuple(_CHECKS)
 
 
 def thread_count() -> int:
@@ -1158,9 +1129,13 @@ def thread_count() -> int:
     return max(n, 1)
 
 
-def _sweep(name: str, cfg: ExperimentConfig) -> VerificationReport:
+def run_check(name: str, cfg: ExperimentConfig) -> VerificationReport:
+    """One named check swept over the configured q-range, clamped to its window."""
+    if name not in _CHECKS:
+        raise UsageError(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
     thread_count()  # validates CHARSUM_THREADS; the sweep itself is serial
-    lo, hi = _WINDOWS[name]
+    check = _CHECKS[name]
+    lo, hi = check.window
     lo2, hi2 = max(cfg.q_lo, lo), min(cfg.q_hi, hi)
     if lo2 > hi2:
         raise UsageError(
@@ -1169,43 +1144,12 @@ def _sweep(name: str, cfg: ExperimentConfig) -> VerificationReport:
     notes = []
     if (lo2, hi2) != (cfg.q_lo, cfg.q_hi):
         notes.append(f"q-range clamped to {lo2}..{hi2}")
-
-    def worker(q: int):
-        if name == "theorem1":
-            return _theorem1_q(q)
-        if name == "bound4":
-            return _bound4_q(q)
-        if name == "bound5":
-            return _bound5_q(q, cfg)
-        if name == "lemma1":
-            return _lemma1_q(q)
-        if name == "lemma3":
-            return _lemma3_q(q, ("lemma3",))
-        if name == "pairsum":
-            return _lemma3_q(q, ("pairsum",))
-        if name == "lemma4":
-            return _lemma4_q(q, cfg)
-        if name == "theorem2":
-            return _theorem2_q(q, cfg)
-        if name == "vanishing":
-            return _vanish_mult_q(q, ("vanishing",))
-        if name == "multiplicativity":
-            return _vanish_mult_q(q, ("multiplicativity",))
-        raise UsageError(f"unknown check {name!r}")
-
     cases: list[CaseRecord] = []
     for q in range(lo2, hi2 + 1):
-        qcases, qnotes = worker(q)
+        qcases, qnotes = check.worker(q, cfg)
         cases.extend(qcases)
         notes.extend(qnotes)
     return VerificationReport(name, f"q-range {lo2}..{hi2}", cfg, cases, notes)
-
-
-def run_check(name: str, cfg: ExperimentConfig) -> VerificationReport:
-    """One named check swept over the configured q-range."""
-    if name not in ALL_CHECKS:
-        raise UsageError(f"unknown check {name!r}; choose from {', '.join(ALL_CHECKS)}")
-    return _sweep(name, cfg)
 
 
 def run_all(cfg: ExperimentConfig) -> list[VerificationReport]:
@@ -1213,50 +1157,14 @@ def run_all(cfg: ExperimentConfig) -> list[VerificationReport]:
     return [run_check(name, cfg) for name in ALL_CHECKS]
 
 
-# ---------------------------------------------------------------------------
-# witness replay
-# ---------------------------------------------------------------------------
-
-
 def replay_case(case: CaseRecord, config: ExperimentConfig | None = None) -> complex:
-    """Recompute the value of a recorded case from its parameters."""
-    p = case.params
-    kind = case.kind
-    if kind in ("bound4", "vanishing", "multiplicativity"):
-        chi = parse_character_label(case.chi_label)
-        return complete_lambda(chi, p["m"], p["n"])
-    if kind == "theorem1":
-        chi = parse_character_label(case.chi_label)
-        return complex(second_moment(chi))
-    if kind == "bound5":
-        chi = parse_character_label(case.chi_label)
-        return incomplete_lambda(chi, p["m"], p["n"], IntervalSpec(p["start"], p["length"]))
-    if kind == "gauss_modulus" or kind == "gauss_conj":
-        chi = parse_character_label(case.chi_label)
-        return gauss_sum(chi, 1)
-    if kind == "gauss_twist":
-        chi = parse_character_label(case.chi_label)
-        return gauss_sum(chi, p["n"])
-    if kind == "lemma3":
-        chi = parse_character_label(case.chi_label)
-        return orthogonality_average(chi, p["c"], p["b"])
-    if kind == "pairsum":
-        chi = parse_character_label(case.chi_label)
-        return character_pair_sum(chi, p["y"], p["ell"])
-    if kind.startswith("lemma4"):
-        return quadratic_expsum(p["a"], p["b"], case.q, restricted=kind == "lemma4_restricted")
-    if kind == "theorem2":
-        if config is None:
-            raise ValueError("theorem2 replay needs the experiment config")
-        chi = parse_character_label(case.chi_label)
-        weights = _theorem2_weights(config, case.q, p["trial"])
-        return complex(weighted_second_moment(chi, weights))
-    if kind == "bilinear":
+    """Recompute the value of a recorded case from its check and parameters."""
+    if case.check == "bilinear":
         if config is None:
             raise ValueError("bilinear replay needs the experiment config")
-        chi = parse_character_label(case.chi_label)
-        inst = _bilinear_instance(
-            config, p["trial"], p["a_scale"], p["m_scale"], p["n_scale"]
-        )
-        return bilinear_form(chi, inst, "optimized")
-    raise ValueError(f"unknown case kind {kind!r}")
+        p = case.params
+        inst = _bilinear_instance(config, p["trial"], p["a_scale"], p["m_scale"], p["n_scale"])
+        return bilinear_form(_chi(case), inst, "optimized")
+    if case.check not in _CHECKS:
+        raise ValueError(f"unknown check {case.check!r}")
+    return _CHECKS[case.check].replay(case, config)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import charsum.cli as cli_module
 import charsum.sums as sums_module
 import charsum.verify as verify_module
 from charsum.cli import main
@@ -88,6 +89,22 @@ def test_compute_k2_naive_capacity_exit3(capsys):
     code, out, err = run_cli(capsys, "compute", "k2", "--q", "401", "--chi", "0", "--strategy", "naive")
     assert code == 3 and out == ""
     assert "error:" in err
+
+
+def test_compute_chi_all_table_cap_exit3(capsys, monkeypatch):
+    # --chi all caches every character's value table: phi(q) * q entries
+    monkeypatch.setattr(cli_module, "CHI_ALL_TABLE_LIMIT", 13 * 12)
+    code, out, _ = run_cli(capsys, "compute", "gauss", "--q", "13", "--chi", "all")
+    assert code == 0 and len(parse_records(out)) == 12
+    monkeypatch.setattr(cli_module, "CHI_ALL_TABLE_LIMIT", 13 * 12 - 1)
+    for kind in ("lambda", "gauss", "k2", "pairsum"):
+        code, out, err = run_cli(capsys, "compute", kind, "--q", "13")
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    # srsum builds no value table, and one named character is not capped
+    for argv in (("srsum", "--q", "13"), ("gauss", "--q", "13", "--chi", "2")):
+        code, out, err = run_cli(capsys, "compute", *argv)
+        assert code == 0 and err == "" and len(parse_records(out)) == (12 if argv[0] == "srsum" else 1)
 
 
 def test_compute_k2_large_prime(capsys):
@@ -331,6 +348,10 @@ def test_bad_thread_count_is_usage_error():
         # non-finite knobs
         ("verify", "bound5", "--q-range", "3..3", "--epsilon", "nan"),
         ("bilinear", "--q", "7", "--trials", "1", "--gamma", "inf"),
+        # a negative trial count would run nothing and pass vacuously
+        ("verify", "bound5", "--q-range", "3..5", "--trials", "-1"),
+        ("verify", "theorem2", "--q-range", "3..5", "--trials", "-3"),
+        ("bilinear", "--trials", "-1"),
     ],
 )
 def test_out_of_range_inputs_are_usage_errors(argv):

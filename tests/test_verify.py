@@ -1,8 +1,12 @@
 """Verification harness: reports, determinism, witness replay, sweep plumbing."""
 
+import importlib
+import importlib.util
 import json
 import math
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +28,6 @@ from charsum.verify import (
     UsageError,
     VerificationReport,
     bilinear_experiment,
-    check_bound_complete,
-    check_lemma1,
-    check_lemma3_and_pair_sum,
-    check_theorem1,
-    check_vanishing_and_multiplicativity,
     replay_case,
     reports_json,
     run_all,
@@ -36,6 +35,11 @@ from charsum.verify import (
     thread_count,
     unit_average_coefficient,
 )
+
+
+def check_at(name: str, q: int) -> VerificationReport:
+    """One check at the single modulus q."""
+    return run_check(name, ExperimentConfig(q_lo=q, q_hi=q))
 
 
 def mu_direct(n: int) -> int:
@@ -84,7 +88,7 @@ def test_unit_average_coefficient_branches():
 
 
 def test_theorem1_q5_report():
-    report = check_theorem1(5)
+    report = check_at("theorem1", 5)
     assert report.cases_tested == 1
     case = report.cases[0]
     assert case.chi_label == "5:5^1=2"
@@ -96,41 +100,41 @@ def test_theorem1_q5_report():
 
 
 def test_theorem1_q8_report():
-    report = check_theorem1(8)
+    report = check_at("theorem1", 8)
     assert report.cases_tested == 1
     assert report.cases[0].value_re == 0.0
     assert report.cases[0].params["S"] == 0
 
 
 def test_theorem1_q7_counts_even_primitives():
-    report = check_theorem1(7)
+    report = check_at("theorem1", 7)
     assert report.cases_tested == 2
     assert report.passed_all
 
 
 def test_theorem1_flags_empty_moduli():
     for q in (3, 15):
-        report = check_theorem1(q)
+        report = check_at("theorem1", q)
         assert report.cases_tested == 0
         assert any("no primitive completely even" in note for note in report.notes)
 
 
 def test_theorem1_rejects_out_of_window():
     with pytest.raises(UsageError):
-        check_theorem1(2)
+        check_at("theorem1", 2)
     with pytest.raises(UsageError):
-        check_theorem1(201)
+        check_at("theorem1", 201)
 
 
 def test_bound4_q5_and_q9_within_envelope():
     for q in (5, 9):
-        report = check_bound_complete(q)
+        report = check_at("bound4", q)
         assert report.passed_all
         assert report.max_ratio <= 1.0 + 1e-9
 
 
 def test_bound4_q25_fails_on_imprimitive_lift():
-    report = check_bound_complete(25)
+    report = check_at("bound4", 25)
     failed = [c for c in report.cases if not c.passed]
     assert failed and all(not c.params["primitive"] for c in failed)
     assert any(c.ratio > 1.9 for c in failed)
@@ -144,7 +148,7 @@ def test_row_witness_is_first_near_max_of_table():
     # the first (m, n) in row-major order of the full table within tolerance
     for q in (12, 25, 36, 60, 64, 125):
         tol = tolerance(phi_direct(q))
-        bound4 = {c.chi_index: (c.params["m"], c.params["n"]) for c in check_bound_complete(q).cases}
+        bound4 = {c.chi_index: (c.params["m"], c.params["n"]) for c in check_at("bound4", q).cases}
         for chi in enumerate_characters(character_group(q)):
             magnitudes = np.abs(complete_lambda_table(chi))
             want = divmod(int(np.flatnonzero(magnitudes >= magnitudes.max() - tol)[0]), q)
@@ -154,7 +158,7 @@ def test_row_witness_is_first_near_max_of_table():
 
 
 def test_lemma1_report_kinds():
-    report = check_lemma1(5)
+    report = check_at("lemma1", 5)
     kinds = {c.kind for c in report.cases}
     assert kinds == {"gauss_modulus", "gauss_twist", "gauss_conj"}
     assert report.passed_all
@@ -195,10 +199,22 @@ def test_bound5_windows_match_per_draw_reference(monkeypatch, budget):
             assert (case.params["start"], case.params["length"]) == want, (q, case.params)
 
 
+def test_bound5_ratio_is_value_over_envelope():
+    # ratio = |recorded value| / q^(1/2 + epsilon), recomputed for every case
+    for epsilon in (0.1, 0.25):
+        cfg = ExperimentConfig(q_lo=3, q_hi=30, seed=5, trials=2, epsilon=epsilon)
+        cases = run_check("bound5", cfg).cases
+        assert cases
+        for case in cases:
+            magnitude = abs(complex(case.value_re, case.value_im))
+            want = magnitude / case.q ** (0.5 + epsilon)
+            assert case.ratio == pytest.approx(want, rel=1e-12, abs=0.0), (case.q, case.params)
+
+
 def test_lemma3_pair_sum_exhaustive_small():
-    report = check_lemma3_and_pair_sum(12)
-    assert report.passed_all
-    kinds = {c.kind for c in report.cases}
+    reports = [check_at("lemma3", 12), check_at("pairsum", 12)]
+    assert all(report.passed_all for report in reports)
+    kinds = {c.kind for report in reports for c in report.cases}
     assert kinds == {"lemma3", "pairsum"}
 
 
@@ -214,8 +230,8 @@ def test_lemma3_pair_sum_witness_is_first_near_max_of_direct_table():
     for q in (12, 25, 36, 60):
         phi = phi_direct(q)
         divs = [d for d in range(1, q + 1) if q % d == 0]
-        report = check_lemma3_and_pair_sum(q)
-        primitive = [c.chi_index for c in report.cases if c.kind == "lemma3"]
+        cases = check_at("lemma3", q).cases + check_at("pairsum", q).cases
+        primitive = [c.chi_index for c in cases if c.kind == "lemma3"]
         assert primitive
         for chi in enumerate_characters(character_group(q)):
             if chi.index not in primitive:
@@ -238,7 +254,7 @@ def test_lemma3_pair_sum_witness_is_first_near_max_of_direct_table():
             )
             c, b = divmod(_first_near_max_index(lemma3, 2.0**-40), q)
             i, y = divmod(_first_near_max_index(pairsum, tolerance(phi * phi)), q)
-            got = {case.kind: case for case in report.cases if case.chi_index == chi.index}
+            got = {case.kind: case for case in cases if case.chi_index == chi.index}
             assert got["lemma3"].params == {"c": c, "b": b}, (q, chi.index)
             assert got["pairsum"].params == {"y": y, "ell": divs[i]}, (q, chi.index)
             assert abs(got["lemma3"].defect - lemma3.max()) <= 2.0**-40
@@ -246,12 +262,10 @@ def test_lemma3_pair_sum_witness_is_first_near_max_of_direct_table():
 
 
 def test_vanishing_and_multiplicativity_composite():
-    report = check_vanishing_and_multiplicativity(3, 5)
-    assert report.passed_all
-    kinds = {c.kind for c in report.cases}
+    reports = [check_at("vanishing", 15), check_at("multiplicativity", 15)]
+    assert all(report.passed_all for report in reports)
+    kinds = {c.kind for report in reports for c in report.cases}
     assert kinds == {"vanishing", "multiplicativity"}
-    with pytest.raises(UsageError):
-        check_vanishing_and_multiplicativity(6, 4)
 
 
 def test_run_check_unknown_name():
@@ -323,7 +337,7 @@ def test_seed_changes_seeded_checks_only():
 
 
 def test_witness_ordering_and_count():
-    report = check_bound_complete(25)
+    report = check_at("bound4", 25)
     wits = report.witnesses()
     assert len(wits) <= 3
     defects = [w.defect for w in wits]
@@ -341,6 +355,22 @@ def test_replay_reproduces_recorded_values_across_checks():
                 case.kind,
                 case.params,
             )
+
+
+def test_replay_reproduces_every_case_of_every_check():
+    # every registry entry's replay, on every recorded case rather than only
+    # the witnesses; sweeps that take a value from a batched route (lemma1's
+    # FFT Gauss sums) agree with the pointwise evaluator to rounding
+    cfg = ExperimentConfig(q_lo=3, q_hi=12, seed=42, trials=2)
+    for name in ALL_CHECKS:
+        cases = run_check(name, cfg).cases
+        assert cases, name
+        for case in cases:
+            phi = phi_direct(case.q)
+            scale = {"theorem1": case.q**2 * phi**2, "theorem2": case.q**2 * phi**2, "pairsum": phi**2}
+            value = replay_case(case, cfg)
+            recorded = complex(case.value_re, case.value_im)
+            assert abs(value - recorded) <= tolerance(scale.get(name, case.q)), (name, case.kind, case.params)
 
 
 def test_replay_bilinear_and_config_requirement():
@@ -378,6 +408,34 @@ def test_bilinear_fixed_parameters():
         assert math.isfinite(c.params["ratio_sym"])
 
 
+def test_bilinear_ratios_are_value_over_envelopes():
+    # for prime q (tau = 2), with norms = ||alpha|| * ||beta||:
+    #   eq. (3)    norms * sqrt(N) * q^(3/4) * tau^(5/2) * log(q)^2
+    #   eq. (6)    norms * sqrt(M * N * q) * q^epsilon
+    #   symmetric  norms * sqrt(min(M, N)) * q^(3/4) * tau^(5/2) * log(q)^2
+    cfg = ExperimentConfig(q_lo=50, q_hi=200, seed=13, trials=8, epsilon=0.2)
+    # drawn scales are equal (one draw for all), so pin M != N once as well
+    cases = bilinear_experiment(cfg).cases + bilinear_experiment(cfg, 101, 4, 16, 8).cases
+    assert len(cases) == 16
+    for case in cases:
+        p, q = case.params, case.q
+        inst = verify_module._bilinear_instance(cfg, p["trial"], p["a_scale"], p["m_scale"], p["n_scale"])
+        norms = math.sqrt(sum(abs(c) ** 2 for c in inst.alpha)) * math.sqrt(sum(abs(c) ** 2 for c in inst.beta))
+        tau = sum(1 for d in range(1, q + 1) if q % d == 0)
+        assert tau == 2
+        poly = q**0.75 * tau**2.5 * math.log(q) ** 2
+        magnitude = abs(complex(case.value_re, case.value_im))
+        envelopes = {
+            "ratio": norms * math.sqrt(p["n_scale"]) * poly,
+            "ratio_eq6": norms * math.sqrt(p["m_scale"] * p["n_scale"] * q) * q**cfg.epsilon,
+            "ratio_sym": norms * math.sqrt(min(p["m_scale"], p["n_scale"])) * poly,
+        }
+        got = {"ratio": case.ratio, "ratio_eq6": p["ratio_eq6"], "ratio_sym": p["ratio_sym"]}
+        for key, envelope in envelopes.items():
+            assert envelope > 0.0 and magnitude > 0.0
+            assert got[key] == pytest.approx(magnitude / envelope, rel=1e-12, abs=0.0), (key, p)
+
+
 def test_bilinear_seeded_draws_are_primes_and_scales():
     cfg = ExperimentConfig(q_lo=50, q_hi=200, seed=3, trials=6)
     report = bilinear_experiment(cfg)
@@ -407,7 +465,7 @@ def test_bilinear_trials_zero():
 
 
 def test_case_csv_row_matches_columns():
-    report = check_theorem1(5)
+    report = check_at("theorem1", 5)
     row = report.cases[0].to_csv_row()
     assert len(row) == len(CSV_COLUMNS)
     assert row[0] == "theorem1"
@@ -417,7 +475,7 @@ def test_case_csv_row_matches_columns():
 
 
 def test_report_json_schema():
-    report = check_theorem1(5)
+    report = check_at("theorem1", 5)
     obj = report.to_json_obj()
     assert set(obj) == {"check", "descriptor", "config", "cases", "summary"}
     assert set(obj["summary"]) == {"tested", "passed", "max_defect", "max_ratio", "witnesses", "notes"}
@@ -470,3 +528,32 @@ def test_report_encoder_edge_values():
 def test_params_string_formats():
     case = CaseRecord("x", 5, -1, "", "k", {"a": 1, "flag": True, "r": 0.5}, 0.0, 0.0, 0.0, 0.0, True)
     assert case.params_string() == "a=1;flag=true;r=0.5"
+
+
+# ---------------------------------------------------------------------------
+# names the benchmark harness looks up
+# ---------------------------------------------------------------------------
+
+
+def _load_tracer(monkeypatch):
+    """perfbench/tracer.py as a module, without writing bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer_under_test", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_lookups_resolve(monkeypatch):
+    tracer = _load_tracer(monkeypatch)
+    for group in (tracer.SPANNED, tracer.COUNTED):
+        for module_name, names in group.items():
+            module = importlib.import_module(f"charsum.{module_name}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"charsum.{module_name}.{name}"
+    assert tracer.CHECKS == ALL_CHECKS
+    assert callable(verify_module.thread_count)
+    assert callable(character_value_table.cache_info)
+    for name in ("CaseRecord", "ExperimentConfig", "replay_case", "run_check", "run_all"):
+        assert hasattr(verify_module, name), name
