@@ -3,7 +3,9 @@
 Three subcommands:
 
 * ``compute``  - evaluate one sum (or one per character with ``--chi all``)
-  and print a flat key=value record per line.
+  and print a flat key=value record per line.  `_COMPUTE` maps each kind
+  to its evaluator; every record is ``kind q [chi_index chi_label]``, the
+  kind's own fields, ``value_re value_im modulus`` and ``strategy``.
 * ``verify``   - run a named verification sweep (or ``all``) over a modulus
   range and emit the report as JSON or CSV.
 * ``bilinear`` - run seeded bilinear-form instances and emit the ratio report.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from functools import lru_cache
 
 from charsum.character import (
@@ -23,6 +26,7 @@ from charsum.character import (
     enumerate_characters,
     parse_character_label,
 )
+from charsum.rng import COEFF_MODELS
 from charsum.sums import (
     CapacityError,
     IntervalSpec,
@@ -36,17 +40,15 @@ from charsum.sums import (
 )
 from charsum.verify import (
     ALL_CHECKS,
-    CSV_COLUMNS,
     ExperimentConfig,
     UsageError,
     VerificationReport,
     bilinear_experiment,
+    reports_csv,
     reports_json,
     run_all,
     run_check,
 )
-
-_COMPUTE_KINDS = ("lambda", "gauss", "k2", "quadsum", "pairsum", "srsum")
 
 # Largest phi(q) * q that `compute --chi all` accepts for the kinds that read
 # value tables (all but srsum).  Each character's q-entry table stays cached
@@ -67,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="evaluate a single sum")
-    comp.add_argument("kind", choices=_COMPUTE_KINDS)
+    comp.add_argument("kind", choices=tuple(_COMPUTE))
     comp.add_argument("--q", type=int, required=True, help="modulus")
     comp.add_argument(
         "--chi",
@@ -93,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int, default=4)
     ver.add_argument("--epsilon", type=float, default=0.1)
     ver.add_argument("--gamma", type=float, default=2.0)
-    ver.add_argument("--coeff-model", dest="coeff_model", choices=("unit-disc", "signs", "zero"), default="unit-disc")
+    ver.add_argument("--coeff-model", dest="coeff_model", choices=COEFF_MODELS, default="unit-disc")
     ver.add_argument("--format", choices=("json", "csv"), default="json")
     ver.add_argument("--out", default=None)
 
@@ -107,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     bil.add_argument("--seed", type=int, default=0)
     bil.add_argument("--epsilon", type=float, default=0.1)
     bil.add_argument("--gamma", type=float, default=2.0)
-    bil.add_argument("--coeff-model", dest="coeff_model", choices=("unit-disc", "signs", "zero"), default="unit-disc")
+    bil.add_argument("--coeff-model", dest="coeff_model", choices=COEFF_MODELS, default="unit-disc")
     bil.add_argument("--format", choices=("json", "csv"), default="json")
     bil.add_argument("--out", default=None)
 
@@ -156,16 +158,55 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
-def _record_line(fields: list[tuple[str, object]]) -> str:
-    return " ".join(f"{key}={value}" for key, value in fields) + "\n"
-
-
 def _value_fields(value: complex) -> list[tuple[str, object]]:
+    value = complex(value)
     return [
-        ("value_re", repr(float(value.real))),
-        ("value_im", repr(float(value.imag))),
+        ("value_re", repr(value.real)),
+        ("value_im", repr(value.imag)),
         ("modulus", repr(abs(value))),
     ]
+
+
+def _lambda(chi, args: argparse.Namespace):
+    if (args.start is None) != (args.length is None):
+        raise UsageError("--start and --length must be given together")
+    if args.start is None:
+        return [("m", args.m), ("n", args.n)], complete_lambda(chi, args.m, args.n), "complete"
+    value = incomplete_lambda(chi, args.m, args.n, IntervalSpec(args.start, args.length))
+    return [("m", args.m), ("n", args.n), ("start", args.start), ("length", args.length)], value, "interval"
+
+
+def _k2(chi, args: argparse.Namespace):
+    strategy = "reduced" if args.strategy == "auto" else args.strategy
+    return [], second_moment(chi, args.strategy), strategy
+
+
+def _quadsum(_, args: argparse.Namespace):
+    fields = [("a", args.a), ("b", args.b), ("restricted", str(args.restricted).lower())]
+    return fields, quadratic_expsum(args.a, args.b, args.q, restricted=args.restricted), "direct"
+
+
+def _pairsum(chi, args: argparse.Namespace):
+    ell = args.ell if args.ell is not None else args.q
+    return [("y", args.y), ("ell", ell)], character_pair_sum(chi, args.y, ell), "bucket"
+
+
+def _srsum(chi, _):
+    exact = unit_root_char_sum(chi)
+    return [("exact", exact)], exact, "exact"
+
+
+# Each compute kind, in the CLI's order, to (chi, args) -> (fields, value,
+# strategy): the kind's own record fields, the sum, and the route taken.
+# quadsum takes no character (chi is None).
+_COMPUTE: dict[str, Callable] = {
+    "lambda": _lambda,
+    "gauss": lambda chi, args: ([("n", args.n)], gauss_sum(chi, args.n), "table"),
+    "k2": _k2,
+    "quadsum": _quadsum,
+    "pairsum": _pairsum,
+    "srsum": _srsum,
+}
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -173,86 +214,21 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if q < 1:
         raise UsageError(f"modulus must be >= 1, got {q}")
     kind = args.kind
-    lines: list[str] = []
-
-    if kind == "quadsum":
-        value = quadratic_expsum(args.a, args.b, q, restricted=args.restricted)
-        lines.append(
-            _record_line(
-                [
-                    ("kind", kind),
-                    ("q", q),
-                    ("a", args.a),
-                    ("b", args.b),
-                    ("restricted", str(args.restricted).lower()),
-                ]
-                + _value_fields(value)
-                + [("strategy", "direct")]
-            )
-        )
-    else:
-        for chi in _select_characters(q, args.chi, kind):
-            base = [("kind", kind), ("q", q), ("chi_index", chi.index), ("chi_label", chi.label)]
-            if kind == "lambda":
-                if (args.start is None) != (args.length is None):
-                    raise UsageError("--start and --length must be given together")
-                if args.start is not None:
-                    value = incomplete_lambda(chi, args.m, args.n, IntervalSpec(args.start, args.length))
-                    extra = [("m", args.m), ("n", args.n), ("start", args.start), ("length", args.length)]
-                    strategy = "interval"
-                else:
-                    value = complete_lambda(chi, args.m, args.n)
-                    extra = [("m", args.m), ("n", args.n)]
-                    strategy = "complete"
-                lines.append(_record_line(base + extra + _value_fields(value) + [("strategy", strategy)]))
-            elif kind == "gauss":
-                value = gauss_sum(chi, args.n)
-                lines.append(_record_line(base + [("n", args.n)] + _value_fields(value) + [("strategy", "table")]))
-            elif kind == "k2":
-                strategy = args.strategy
-                resolved = "reduced" if strategy == "auto" else strategy
-                value = second_moment(chi, strategy)
-                lines.append(
-                    _record_line(
-                        base + _value_fields(complex(value)) + [("strategy", resolved)]
-                    )
-                )
-            elif kind == "pairsum":
-                ell = args.ell if args.ell is not None else q
-                value = character_pair_sum(chi, args.y, ell)
-                lines.append(
-                    _record_line(
-                        base + [("y", args.y), ("ell", ell)] + _value_fields(value) + [("strategy", "bucket")]
-                    )
-                )
-            elif kind == "srsum":
-                exact = unit_root_char_sum(chi)
-                lines.append(
-                    _record_line(
-                        base
-                        + [("exact", exact)]
-                        + _value_fields(complex(exact))
-                        + [("strategy", "exact")]
-                    )
-                )
+    characters = [None] if kind == "quadsum" else _select_characters(q, args.chi, kind)
+    lines = []
+    for chi in characters:
+        fields, value, strategy = _COMPUTE[kind](chi, args)
+        head = [("kind", kind), ("q", q)]
+        if chi is not None:
+            head += [("chi_index", chi.index), ("chi_label", chi.label)]
+        record = head + fields + _value_fields(value) + [("strategy", strategy)]
+        lines.append(" ".join(f"{k}={v}" for k, v in record) + "\n")
     _emit("".join(lines), args.out)
     return 0
 
 
-def _reports_csv(reports: list[VerificationReport]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for report in reports:
-        for case in report.cases:
-            lines.append(",".join(case.to_csv_row()))
-    return "\n".join(lines) + "\n"
-
-
 def _emit_reports(reports: list[VerificationReport], fmt: str, out, bundle: bool) -> int:
-    if fmt == "csv":
-        text = _reports_csv(reports)
-    else:
-        text = reports_json(reports, bundle)
-    _emit(text, out)
+    _emit(reports_csv(reports) if fmt == "csv" else reports_json(reports, bundle), out)
     failed = [r for r in reports if not r.passed_all]
     for report in failed:
         for witness in report.witnesses():

@@ -15,6 +15,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# The coefficient models `SplitMix64.coefficient` draws from, in CLI order.
+COEFF_MODELS = ("unit-disc", "signs", "zero")
+
 
 def _mix64(z: int) -> int:
     z &= _MASK64
@@ -71,11 +74,11 @@ class SplitMix64:
                 return complex(x, y)
 
     def coefficient(self, model: str) -> complex:
-        """One coefficient under the named model: unit-disc, signs, or zero."""
+        """One coefficient under the named model, one of COEFF_MODELS."""
         if model == "unit-disc":
             return self.unit_disc()
         if model == "signs":
             return complex(self.sign(), 0.0)
         if model == "zero":
             return 0j
-        raise ValueError(f"unknown coefficient model {model!r}")
+        raise ValueError(f"unknown coefficient model {model!r}, expected one of {', '.join(COEFF_MODELS)}")

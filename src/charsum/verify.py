@@ -12,9 +12,12 @@ entry.  A single modulus is checked with
 deterministic: seeded draws derive a private subseed per (check, modulus,
 trial) cell, so results do not depend on sweep order.  Sweeps run serially in ascending q;
 CHARSUM_THREADS is still validated (`thread_count`) but changes nothing else.
-`reports_json` writes the report text from a fixed template per case,
-byte-identical to the json module's two-space indented dump of
-`to_json_obj()`, which stays as the reference.
+Each output schema is defined once: `CSV_COLUMNS`, `CaseRecord.to_json_obj()`
+and `ExperimentConfig.to_dict()` are read off the dataclass fields.  Both
+report writers live here: `reports_csv` joins `to_csv_row()` under the
+`CSV_COLUMNS` header, and `reports_json` writes the report text from a fixed
+template per case, byte-identical to the json module's two-space indented
+dump of `to_json_obj()`, which stays as the reference.
 
 Per-modulus workers batch across a modulus where they can.  Each takes
 the characters of q from one `character_tables(q)` call (exponent rows,
@@ -43,7 +46,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
@@ -56,7 +59,7 @@ from charsum.character import (
     parse_character_label,
     product_character,
 )
-from charsum.rng import SplitMix64, derive_seed
+from charsum.rng import COEFF_MODELS, SplitMix64, derive_seed
 from charsum.sums import (
     BilinearInstance,
     IntervalSpec,
@@ -128,32 +131,12 @@ class ExperimentConfig:
         # a negative count would run no trial and pass vacuously
         if self.trials < 0:
             raise UsageError(f"trials must be >= 0, got {self.trials}")
+        # an unknown model would fail only once a check draws weights
+        if self.coeff_model not in COEFF_MODELS:
+            raise UsageError(f"coeff_model must be one of {', '.join(COEFF_MODELS)}, got {self.coeff_model!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "q_lo": self.q_lo,
-            "q_hi": self.q_hi,
-            "seed": self.seed,
-            "trials": self.trials,
-            "coeff_model": self.coeff_model,
-            "epsilon": self.epsilon,
-            "gamma": self.gamma,
-        }
-
-
-CSV_COLUMNS = [
-    "check",
-    "q",
-    "chi_index",
-    "chi_label",
-    "kind",
-    "params",
-    "value_re",
-    "value_im",
-    "defect",
-    "ratio",
-    "passed",
-]
+        return asdict(self)
 
 
 def _fmt_scalar(v) -> str:
@@ -184,21 +167,10 @@ class CaseRecord:
         return ";".join(f"{k}={_fmt_scalar(v)}" for k, v in self.params.items())
 
     def to_json_obj(self) -> dict:
-        return {
-            "check": self.check,
-            "q": self.q,
-            "chi_index": self.chi_index,
-            "chi_label": self.chi_label,
-            "kind": self.kind,
-            "params": self.params,
-            "value_re": self.value_re,
-            "value_im": self.value_im,
-            "defect": self.defect,
-            "ratio": self.ratio,
-            "passed": self.passed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_csv_row(self) -> list[str]:
+        """The CSV cells in CSV_COLUMNS order: floats by repr, params by params_string."""
         return [
             self.check,
             str(self.q),
@@ -212,6 +184,9 @@ class CaseRecord:
             repr(self.ratio),
             "true" if self.passed else "false",
         ]
+
+
+CSV_COLUMNS = [f.name for f in fields(CaseRecord)]
 
 
 def _case(
@@ -228,17 +203,8 @@ def _case(
     """One record; chi is the character's (index, label), or None."""
     chi_index, chi_label = chi if chi is not None else (-1, "")
     return CaseRecord(
-        check=check,
-        q=q,
-        chi_index=chi_index,
-        chi_label=chi_label,
-        kind=kind,
-        params=params,
-        value_re=float(value.real),
-        value_im=float(value.imag),
-        defect=float(defect),
-        ratio=float(ratio),
-        passed=bool(passed),
+        check, q, chi_index, chi_label, kind, params,
+        float(value.real), float(value.imag), float(defect), float(ratio), bool(passed)
     )
 
 
@@ -344,7 +310,7 @@ def _json_list(items: list, pad: str, encode) -> str:
 
 
 def _json_case(c: CaseRecord, pad: str, strings: dict) -> str:
-    """One case; strings caches the JSON text of each str field within one report."""
+    """One case, keys in CSV_COLUMNS order; strings caches the JSON text of each str field within one report."""
     p = pad + "  "
     check, label, kind = c.check, c.chi_label, c.kind
     if type(check) is str and type(label) is str and type(kind) is str:
@@ -419,6 +385,13 @@ def reports_json(reports: list[VerificationReport], bundle: bool) -> str:
     if bundle:
         return _json_list(reports, "", _json_report) + "\n"
     return _json_report(reports[0], "") + "\n"
+
+
+def reports_csv(reports: list[VerificationReport]) -> str:
+    """The CSV text of every case of the reports, under one CSV_COLUMNS header."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(case.to_csv_row()) for report in reports for case in report.cases]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ checked; weakening it would hide a real discrepancy.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,8 +271,10 @@ def test_criterion_11_cli_byte_determinism(acceptance_log):
         "--seed",
         "42",
     ]
-    first = subprocess.run(argv, capture_output=True, timeout=600)
-    second = subprocess.run(argv, capture_output=True, timeout=600)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    first = subprocess.run(argv, capture_output=True, timeout=600, env=env)
+    second = subprocess.run(argv, capture_output=True, timeout=600, env=env)
     assert first.returncode == second.returncode
     assert first.returncode in (0, 1)
     assert first.stdout == second.stdout

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ import charsum.sums as sums_module
 import charsum.verify as verify_module
 from charsum.cli import main
 from charsum.verify import ALL_CHECKS, CSV_COLUMNS
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +132,34 @@ def test_cached_parser_keeps_runs_independent(capsys, monkeypatch):
         alone = _module_run(*argv, env=env)
         assert (alone.returncode, alone.stdout, alone.stderr) == (code, out.encode(), err.encode())
     assert bad_in[0] == 2 and good_in[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, record",
+    [
+        ("lambda --q 7 --chi 2 --m 2 --n 3", "kind=lambda q=7 chi_index=2 chi_label=7:7^1=2 m=2 n=3 strategy=complete"),
+        (
+            "lambda --q 7 --chi 2 --m 2 --n 3 --start 1 --length 4",
+            "kind=lambda q=7 chi_index=2 chi_label=7:7^1=2 m=2 n=3 start=1 length=4 strategy=interval",
+        ),
+        ("gauss --q 7 --chi 2 --n 3", "kind=gauss q=7 chi_index=2 chi_label=7:7^1=2 n=3 strategy=table"),
+        ("k2 --q 7 --chi 2", "kind=k2 q=7 chi_index=2 chi_label=7:7^1=2 strategy=reduced"),
+        ("quadsum --q 7 --a 2 --b 3", "kind=quadsum q=7 a=2 b=3 restricted=false strategy=direct"),
+        (
+            "pairsum --q 12 --chi 3 --y 5 --ell 4",
+            "kind=pairsum q=12 chi_index=3 chi_label=12:2^2=1;3^1=1 y=5 ell=4 strategy=bucket",
+        ),
+        ("srsum --q 12 --chi 0", "kind=srsum q=12 chi_index=0 chi_label=12:2^2=0;3^1=0 exact=4 strategy=exact"),
+    ],
+)
+def test_compute_record_key_order(capsys, argv, record):
+    # a record is its head, the kind's own fields, the value, then the route
+    code, out, err = run_cli(capsys, "compute", *argv.split())
+    assert code == 0 and err == ""
+    items = out.splitlines()[0].split(" ")
+    *head, strategy = record.split(" ")
+    assert items[: len(head)] == head and items[-1] == strategy
+    assert [item.split("=")[0] for item in items[len(head) : -1]] == ["value_re", "value_im", "modulus"]
 
 
 def test_compute_srsum_exact_integers(capsys):
@@ -306,6 +337,9 @@ def test_bilinear_naive_oracle_cap_exit3(capsys, monkeypatch):
 
 
 def _module_run(*argv, env=None):
+    """`python -m charsum` in a child process that imports this checkout's src."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "charsum", *argv],
         capture_output=True,

@@ -7,10 +7,11 @@ well-known first outputs for seed 0.
 
 import math
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charsum.rng import SplitMix64, derive_seed
+from charsum.rng import COEFF_MODELS, SplitMix64, derive_seed
 
 MASK = (1 << 64) - 1
 
@@ -87,6 +88,10 @@ def test_coefficient_models():
     assert s in (-1.0, 1.0) or s in (-1, 1)
     z = rng.coefficient("unit-disc")
     assert abs(z) <= 1.0
+    for model in COEFF_MODELS:
+        rng.coefficient(model)
+    with pytest.raises(ValueError):
+        rng.coefficient("gauss")
 
 
 def test_derive_seed_is_stable_and_tag_sensitive():

@@ -13,6 +13,7 @@ import pytest
 
 import charsum.verify as verify_module
 from charsum.character import character_group, enumerate_characters, evaluate, parse_character_label
+from charsum.rng import COEFF_MODELS
 from charsum.sums import (
     character_pair_sum,
     character_value_table,
@@ -29,6 +30,7 @@ from charsum.verify import (
     VerificationReport,
     bilinear_experiment,
     replay_case,
+    reports_csv,
     reports_json,
     run_all,
     run_check,
@@ -453,6 +455,14 @@ def test_bilinear_zero_model_and_empty_range():
         bilinear_experiment(ExperimentConfig(q_lo=32, q_hi=36, trials=1))
 
 
+def test_unknown_coeff_model_is_usage_error():
+    # rejected when the config is made, not when a check first draws weights
+    with pytest.raises(UsageError, match="coeff_model"):
+        ExperimentConfig(coeff_model="gauss")
+    for model in COEFF_MODELS:
+        assert ExperimentConfig(coeff_model=model).to_dict()["coeff_model"] == model
+
+
 def test_bilinear_trials_zero():
     report = bilinear_experiment(ExperimentConfig(q_lo=50, q_hi=60, trials=0))
     assert report.cases_tested == 0
@@ -472,6 +482,27 @@ def test_case_csv_row_matches_columns():
     assert row[-1] == "true"
     # repr floats round-trip
     assert float(row[6]) == report.cases[0].value_re
+
+
+def test_csv_rows_spell_the_json_cases():
+    # every cell of the CSV writer is the to_json_obj() field of its column
+    reports = run_all(ExperimentConfig(q_lo=3, q_hi=12, seed=11, trials=2))
+    reports.append(bilinear_experiment(ExperimentConfig(q_lo=50, q_hi=80, trials=3)))
+    lines = reports_csv(reports).splitlines()
+    cases = [case for report in reports for case in report.cases]
+    assert lines[0] == ",".join(CSV_COLUMNS) and len(lines) == len(cases) + 1
+    assert {case.check for case in cases} == {*ALL_CHECKS, "bilinear"}
+    for line, case in zip(lines[1:], cases):
+        obj = case.to_json_obj()
+        cells = dict(zip(CSV_COLUMNS, line.split(","), strict=True))
+        for name, value in obj.items():
+            if type(value) is float:
+                cells[name] = float(cells[name])
+            elif type(value) is int:
+                cells[name] = int(cells[name])
+        obj["params"] = case.params_string()
+        obj["passed"] = "true" if case.passed else "false"
+        assert cells == obj, line
 
 
 def test_report_json_schema():
