@@ -16,7 +16,6 @@ from functools import lru_cache
 FACTOR_INPUT_LIMIT = 10**12
 
 _TRIAL_DIVISION_LIMIT = 10**6
-_BSGS_LINEAR_CUTOFF = 256
 
 
 class NotInvertibleError(ValueError):
@@ -218,19 +217,8 @@ class UnitGroupStructure:
 
 
 def _cyclic_discrete_log(base: int, target: int, order: int, modulus: int) -> int:
-    """Discrete log in the cyclic group <base> of the given order.
-
-    Baby-step giant-step; plain scan below a small cutoff where the table
-    bookkeeping costs more than it saves.
-    """
+    """Discrete log in the cyclic group <base> of the given order, by baby-step giant-step."""
     target %= modulus
-    if order < _BSGS_LINEAR_CUTOFF:
-        x = 1 % modulus
-        for t in range(order):
-            if x == target:
-                return t
-            x = x * base % modulus
-        raise ValueError(f"{target} is not a power of {base} mod {modulus}")
     m = math.isqrt(order - 1) + 1
     baby: dict[int, int] = {}
     x = 1

@@ -83,10 +83,6 @@ class RootOfUnity:
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", self.den // g)
 
-    @property
-    def is_one(self) -> bool:
-        return self.num == 0
-
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         den = math.lcm(self.den, other.den)
         num = self.num * (den // self.den) + other.num * (den // other.den)
@@ -312,6 +308,12 @@ def _exponent_rows(group: CharacterGroup) -> np.ndarray:
     orders = group.factor_orders()
     rows = np.array(list(itertools.product(*(range(n) for n in orders))), dtype=np.int64)
     return rows.reshape(group.phi, len(orders))
+
+
+def _index_radix(group: CharacterGroup) -> np.ndarray:
+    """Mixed radix of the enumeration: the character with flat exponent row k has index k @ radix."""
+    orders = group.factor_orders()
+    return np.array([math.prod(orders[j + 1 :]) for j in range(len(orders))], dtype=np.int64)
 
 
 def _value_exponents(group: CharacterGroup, exponents: np.ndarray) -> np.ndarray:
@@ -541,8 +543,6 @@ def character_tables(q: int, values: bool = True) -> CharacterTables:
         if wrong.size:
             i = int(wrong[0])
             raise _conductor_mismatch(labels[i], int(conductors[i]), int(direct[i]))
-    orders = group.factor_orders()
-    radix = np.array([math.prod(orders[j + 1 :]) for j in range(len(orders))], dtype=np.int64)
-    conjugate = (-exps % np.array(orders, dtype=np.int64)) @ radix
+    conjugate = (-exps % np.array(group.factor_orders(), dtype=np.int64)) @ _index_radix(group)
     table = _value_table(group, exps) if values else None
     return CharacterTables(exps, labels, conductors, even, conjugate, table)

@@ -28,10 +28,10 @@ character, all quadratic sums e((a*x^2 + b*x)/q) of a modulus) share one
 kernel, `twist_sums`: an unscaled inverse FFT along the last axis.
 
 Each pointwise evaluator of one character (complete and incomplete sums,
-Gauss sums, unit averages, pair sums, the reduced and weighted second
-moments) is a thin wrapper over a private core that takes chi's value
-table, so the sweeps can pass a row of `character_tables(q)` and get the
-same arithmetic.
+the complete-sum table, Gauss sums, unit averages, pair sums, the reduced
+and weighted second moments) is a thin wrapper over a private core that
+takes chi's value table, so the sweeps can pass a row of
+`character_tables(q)` and get the same arithmetic.
 
 Dyadic ranges follow the convention x ~ X meaning X < x <= 2X.
 """
@@ -47,6 +47,7 @@ import numpy as np
 
 from charsum.arith import divisors, mod_inverse, square_roots_of_unity
 from charsum.character import (
+    GROUP_MODULUS_LIMIT,
     DirichletCharacter,
     _roots_for_denominator,
     _value_table,
@@ -156,7 +157,13 @@ class BilinearInstance:
 
 @lru_cache(maxsize=None)
 def _modulus_tables(q: int):
-    """(units, inverse table, unit mask, e(t/q) table) for one modulus, read-only."""
+    """(units, inverse table, unit mask, e(t/q) table) for one modulus, read-only.
+
+    Every per-modulus table starts here, so the modulus cap of the character
+    groups holds for the sums that take no character too.
+    """
+    if q > GROUP_MODULUS_LIMIT:
+        raise ValueError(f"per-modulus tables are capped at q <= {GROUP_MODULUS_LIMIT}, got {q}")
     unit_mask = np.array([math.gcd(a, q) == 1 for a in range(q)])
     units = np.nonzero(unit_mask)[0].astype(np.int64)
     inv = np.zeros(q, dtype=np.int64)
@@ -247,15 +254,20 @@ def complete_lambda_row(chi: DirichletCharacter) -> np.ndarray:
 
 
 def complete_lambda_table(chi: DirichletCharacter) -> np.ndarray:
-    """The full q x q table of complete sums at (m, n).
+    """The full q x q table of complete sums at (m, n)."""
+    return _complete_lambda_table(character_value_table(chi))
+
+
+def _complete_lambda_table(tab: np.ndarray) -> np.ndarray:
+    """complete_lambda_table on chi's value table (its length is q).
 
     One gather from the tau(q) divisor rows: with m = g*u, g = gcd(m, q) and
     u a unit, Lambda(m, n) = Lambda(g, u*n).  The unit rows are row 1
     permuted by n -> m*n.
     """
-    q = chi.group.modulus
+    q = len(tab)
     divs, slot, unit = _divisor_orbits(q)
-    rows = _divisor_rows(character_value_table(chi), divs)
+    rows = _divisor_rows(tab, divs)
     t = np.arange(q, dtype=np.int64)
     idx = unit[:, None] * t[None, :]
     idx %= q

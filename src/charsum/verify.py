@@ -24,14 +24,15 @@ the characters of q from one `character_tables(q)` call (exponent rows,
 labels, conductors, the completely-even mask, conjugate indices and the
 (phi, q) value table, built by one integer product and dropped when the
 worker returns) and loops over character indices only to build records;
-no character object is made except where an exact per-character routine
-needs one (theorem1's unit-root sum, the bilinear naive oracle,
-multiplicativity's product characters).  lemma1 takes every twist of every
-primitive character's Gauss sum from one FFT over the primitive rows,
-lemma4 every quadratic sum from one FFT per q x q table, and bound5 scans
-the interval windows of a block of seeded draws at once.  bound4 and
-vanishing read the maximum of the complete sums from the tau(q) divisor
-rows and never build the q x q table.  Every witness is recomputed
+no character object is made except for the bilinear naive oracle.
+theorem1 reads S off the exact +-1 entries of its rows at the square roots
+of unity, and multiplicativity finds each product character's index by
+mixed-radix arithmetic on the exponent rows of q1 and q2.  lemma1 takes
+every twist of every primitive character's Gauss sum from one FFT over the
+primitive rows, lemma4 every quadratic sum from one FFT per q x q table,
+and bound5 scans the interval windows of a block of seeded draws at once.
+bound4 and vanishing read the maximum of the complete sums from the tau(q)
+divisor rows and never build the q x q table.  Every witness is recomputed
 pointwise, by the core of its evaluator applied to the character's row.
 
 Witnesses picked among near-equal or noise-level values (bound4, vanishing,
@@ -51,14 +52,8 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
-from charsum.arith import divisors, factorize, multiplicative_profile
-from charsum.character import (
-    character_group,
-    character_tables,
-    enumerate_characters,
-    parse_character_label,
-    product_character,
-)
+from charsum.arith import divisors, factorize, multiplicative_profile, square_roots_of_unity
+from charsum.character import _index_radix, character_group, character_tables, parse_character_label
 from charsum.rng import COEFF_MODELS, SplitMix64, derive_seed
 from charsum.sums import (
     BilinearInstance,
@@ -66,7 +61,6 @@ from charsum.sums import (
     WeightVector,
     bilinear_form,
     complete_lambda,
-    complete_lambda_table,
     gauss_sum,
     incomplete_lambda,
     orthogonality_average,
@@ -76,10 +70,10 @@ from charsum.sums import (
     second_moment,
     tolerance,
     twist_sums,
-    unit_root_char_sum,
     weighted_second_moment,
     _character_pair_sum,
     _complete_lambda,
+    _complete_lambda_table,
     _divisor_orbits,
     _divisor_rows,
     _gauss_sum,
@@ -451,16 +445,22 @@ def _lambda_peak(tab: np.ndarray, tol: float) -> tuple[int, int, float]:
 
 
 def _theorem1_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
-    group = character_group(q)
     prof = _profile(q)
     phi, omega = prof.phi, prof.omega
     envelope = q * phi * phi * 2**omega
     tol = 2.0**-40 * q**3
     chars = character_tables(q)
+    rows = np.flatnonzero(chars.completely_even & (chars.conductors == q))
+    # chi(y) is +-1 exactly at y^2 = 1 (value tables are exact on the quarter turns)
+    roots = square_roots_of_unity(q)
+    signs = chars.values[rows][:, roots]
+    bad = np.argwhere((signs != 1) & (signs != -1))
+    if bad.size:
+        raise RuntimeError(f"chi(y) is not +-1 at y = {roots[bad[0, 1]]} mod {q}")
+    totals = signs.real.sum(axis=1).astype(np.int64)
     cases: list[CaseRecord] = []
-    for index in np.flatnonzero(chars.completely_even & (chars.conductors == q)).tolist():
+    for index, s in zip(rows.tolist(), totals.tolist()):
         moment = _reduced_second_moment(chars.values[index])
-        s = unit_root_char_sum(group.character_at(index))
         target = q * phi * phi * s
         defect = abs(moment - target)
         ok = defect <= tol
@@ -800,8 +800,8 @@ def _lemma4_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str
 
 def _theorem2_weights(cfg: ExperimentConfig, q: int, trial: int) -> WeightVector:
     rng = SplitMix64(derive_seed(cfg.seed, _TAG_T2_LAM, q, trial))
-    units = [a for a in range(q) if math.gcd(a, q) == 1]
-    return WeightVector(q, {a: rng.coefficient(cfg.coeff_model) for a in units})
+    units, _, _, _ = _modulus_tables(q)
+    return WeightVector(q, {a: rng.coefficient(cfg.coeff_model) for a in units.tolist()})
 
 
 def _theorem2_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
@@ -868,55 +868,49 @@ def _vanishing_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[
     return cases, []
 
 
-def _multiplicativity_cases(q1: int, q2: int) -> list[CaseRecord]:
-    q = q1 * q2
-    prof = _profile(q)
-    tol = tolerance(3 * prof.phi)
-    m_mod1 = np.arange(q, dtype=np.int64) % q1
-    m_mod2 = np.arange(q, dtype=np.int64) % q2
-    chars1 = enumerate_characters(character_group(q1))
-    chars2 = enumerate_characters(character_group(q2))
-    # q1 < q2, so the q1 tables are the small ones to keep; each q2 table is
-    # built and lifted once.  Cases stay in (chi1, chi2) order.
-    tables1 = [complete_lambda_table(chi1) for chi1 in chars1]
-    blocks: list[list[CaseRecord]] = [[] for _ in chars1]
-    for chi2 in chars2:
-        table2 = complete_lambda_table(chi2)
-        lifted2 = table2[m_mod2[:, None], m_mod2[None, :]]
-        for chi1, table1, block in zip(chars1, tables1, blocks):
-            lifted1 = table1[m_mod1[:, None], m_mod1[None, :]]
-            chi = product_character(chi1, chi2)
-            table = complete_lambda_table(chi)
-            defects = np.abs(table - lifted1 * lifted2)
-            m, n = divmod(int(_first_near_max(defects.ravel(), tol)), q)
-            value = complete_lambda(chi, m, n)
-            block.append(
-                _case(
-                    "multiplicativity",
-                    q,
-                    (chi.index, chi.label),
-                    kind="multiplicativity",
-                    params={
-                        "q1": q1,
-                        "q2": q2,
-                        "chi1_index": chi1.index,
-                        "chi2_index": chi2.index,
-                        "m": m,
-                        "n": n,
-                    },
-                    value=value,
-                    defect=float(defects.max()),
-                    ratio=0.0,
-                    passed=float(defects.max()) <= tol,
-                )
-            )
-    return [case for block in blocks for case in block]
-
-
 def _multiplicativity_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
+    tol = tolerance(3 * _profile(q).phi)
+    group = character_group(q)
+    chars = character_tables(q)
+    # chi1*chi2 has chi1's flat exponent row on the columns of q1's primes and
+    # chi2's on the rest; owner holds the prime of each flat column
+    radix = _index_radix(group)
+    owner = np.repeat(
+        [p for p, _ in group.factorization.factors], [len(s.factor_orders) for s in group.structures]
+    )
+    residues = np.arange(q, dtype=np.int64)
     cases: list[CaseRecord] = []
     for q1, q2 in _coprime_splittings(q):
-        cases.extend(_multiplicativity_cases(q1, q2))
+        chars1, chars2 = character_tables(q1), character_tables(q2)
+        in1 = q1 % owner == 0
+        product = (chars1.exponents @ radix[in1])[:, None] + chars2.exponents @ radix[~in1]
+        m1, m2 = residues % q1, residues % q2
+        # q1 < q2, so the q1 tables are the small ones to keep; each q2 table is
+        # built and lifted once.  Cases stay in (chi1, chi2) order.
+        lifted1 = [_complete_lambda_table(tab)[m1[:, None], m1[None, :]] for tab in chars1.values]
+        blocks: list[list[CaseRecord]] = [[] for _ in lifted1]
+        for j2, tab2 in enumerate(chars2.values):
+            lifted2 = _complete_lambda_table(tab2)[m2[:, None], m2[None, :]]
+            for j1, (table1, block) in enumerate(zip(lifted1, blocks)):
+                index = int(product[j1, j2])
+                tab = chars.values[index]
+                defects = np.abs(_complete_lambda_table(tab) - table1 * lifted2)
+                m, n = divmod(int(_first_near_max(defects.ravel(), tol)), q)
+                defect = float(defects.max())
+                block.append(
+                    _case(
+                        "multiplicativity",
+                        q,
+                        (index, chars.labels[index]),
+                        kind="multiplicativity",
+                        params={"q1": q1, "q2": q2, "chi1_index": j1, "chi2_index": j2, "m": m, "n": n},
+                        value=_complete_lambda(tab, m, n),
+                        defect=defect,
+                        ratio=0.0,
+                        passed=defect <= tol,
+                    )
+                )
+        cases.extend(case for block in blocks for case in block)
     return cases, []
 
 

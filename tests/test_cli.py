@@ -386,6 +386,8 @@ def test_bad_thread_count_is_usage_error():
         ("verify", "bound5", "--q-range", "3..5", "--trials", "-1"),
         ("verify", "theorem2", "--q-range", "3..5", "--trials", "-3"),
         ("bilinear", "--trials", "-1"),
+        # quadsum takes no character: the modulus cap comes from its per-modulus tables
+        ("compute", "quadsum", "--q", "1000001", "--a", "1", "--b", "1"),
     ],
 )
 def test_out_of_range_inputs_are_usage_errors(argv):

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import charsum.verify as verify_module
-from charsum.character import character_group, enumerate_characters, evaluate, parse_character_label
+from charsum.character import (
+    CharacterGroup,
+    character_group,
+    enumerate_characters,
+    evaluate,
+    parse_character_label,
+    product_character,
+)
 from charsum.rng import COEFF_MODELS
 from charsum.sums import (
     character_pair_sum,
@@ -20,6 +27,7 @@ from charsum.sums import (
     complete_lambda_table,
     orthogonality_average,
     tolerance,
+    unit_root_char_sum,
 )
 from charsum.verify import (
     ALL_CHECKS,
@@ -112,6 +120,14 @@ def test_theorem1_q7_counts_even_primitives():
     report = check_at("theorem1", 7)
     assert report.cases_tested == 2
     assert report.passed_all
+
+
+def test_theorem1_signs_match_unit_root_char_sum():
+    # S is read off the value-table rows; the exact per-character sum is the oracle
+    report = run_check("theorem1", ExperimentConfig(q_lo=3, q_hi=200))
+    assert report.cases
+    for case in report.cases:
+        assert case.params["S"] == unit_root_char_sum(parse_character_label(case.chi_label)), case.chi_label
 
 
 def test_theorem1_flags_empty_moduli():
@@ -268,6 +284,37 @@ def test_vanishing_and_multiplicativity_composite():
     assert all(report.passed_all for report in reports)
     kinds = {c.kind for report in reports for c in report.cases}
     assert kinds == {"vanishing", "multiplicativity"}
+    # the product character's index is mixed-radix arithmetic on exponent rows;
+    # product_character is the oracle (two-column 2-adic parts, several splittings)
+    for q in (15, 24, 30, 40, 60, 72, 84, 90):
+        report = check_at("multiplicativity", q)
+        assert report.passed_all, q
+        by_split: dict[tuple[int, int], list[int]] = {}
+        for c in report.cases:
+            p = c.params
+            chi1 = character_group(p["q1"]).character_at(p["chi1_index"])
+            chi2 = character_group(p["q2"]).character_at(p["chi2_index"])
+            chi = product_character(chi1, chi2)
+            assert (c.chi_index, c.chi_label) == (chi.index, chi.label), (q, p)
+            by_split.setdefault((p["q1"], p["q2"]), []).append(c.chi_index)
+        assert by_split and all(sorted(ix) == list(range(phi_direct(q))) for ix in by_split.values())
+
+
+def test_sweeps_make_no_character_objects(monkeypatch):
+    # every worker reads its characters from character_tables rows: no sweep
+    # builds a character object or fills the per-character value-table cache
+    made = []
+    original = CharacterGroup.character_from_exponents
+
+    def counting(self, exponents):
+        made.append(exponents)
+        return original(self, exponents)
+
+    monkeypatch.setattr(CharacterGroup, "character_from_exponents", counting)
+    for name in ALL_CHECKS:
+        character_value_table.cache_clear()
+        run_check(name, ExperimentConfig(q_lo=3, q_hi=30))
+        assert (name, len(made), character_value_table.cache_info().misses) == (name, 0, 0)
 
 
 def test_run_check_unknown_name():
