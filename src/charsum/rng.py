@@ -6,9 +6,13 @@ generator state advances by the 64-bit golden-ratio constant and each
 output is finalized with two xorshift-multiply rounds; doubles take the
 top 53 bits, integer draws use rejection sampling (no modulo bias), and
 unit-disc samples are drawn by rejection from the square [-1,1]^2.
+`randrange_cells` draws the first integers of many derived streams at once
+in numpy uint64 arithmetic, bit for bit equal to the scalar stream.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -19,8 +23,9 @@ _MIX2 = 0x94D049BB133111EB
 COEFF_MODELS = ("unit-disc", "signs", "zero")
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK64
+def _mix64(z):
+    """The splitmix64 output mix of a Python int, or of a numpy uint64 array."""
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
@@ -36,6 +41,32 @@ def derive_seed(seed: int, *tags: int) -> int:
     for t in tags:
         s = _mix64(s ^ _mix64((t & _MASK64) + _GOLDEN))
     return s
+
+
+def randrange_cells(seed: int, tags: tuple[int, ...], cells: np.ndarray, n: int, count: int) -> np.ndarray:
+    """The first `count` randrange(n) draws of every cell's stream, as uint64.
+
+    Row i equals the draws of SplitMix64(derive_seed(seed, *tags, *cells[i]))
+    bit for bit: seeds and draws run in uint64 arithmetic, and a row with a
+    rejected draw (probability below count * n / 2^64) is redrawn by the
+    scalar stream.  cells is an integer array of shape (rows, trailing tags).
+    """
+    if not 1 <= n <= 1 << 64:
+        raise ValueError(f"randrange_cells requires 1 <= n <= 2^64, got {n}")
+    cells = np.asarray(cells, dtype=np.int64).astype(np.uint64)
+    seeds = np.full(len(cells), derive_seed(seed, *tags), dtype=np.uint64)
+    for column in cells.T:
+        seeds = _mix64(seeds ^ _mix64(column + np.uint64(_GOLDEN)))
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    u = _mix64(seeds[:, None] + steps)
+    if n & (n - 1) == 0:  # 2^64 % n == 0: no draw is rejected
+        return u & np.uint64(n - 1)
+    limit = (1 << 64) - (1 << 64) % n
+    out = u % np.uint64(n)
+    for i in np.flatnonzero((u >= np.uint64(limit)).any(axis=1)).tolist():
+        rng = SplitMix64(int(seeds[i]))
+        out[i] = [rng.randrange(n) for _ in range(count)]
+    return out
 
 
 class SplitMix64:

@@ -27,11 +27,12 @@ Sums against e(n*x/q) at every twist n at once (all Gauss sums of a
 character, all quadratic sums e((a*x^2 + b*x)/q) of a modulus) share one
 kernel, `twist_sums`: an unscaled inverse FFT along the last axis.
 
-Each pointwise evaluator of one character (complete and incomplete sums,
-the complete-sum table, Gauss sums, unit averages, pair sums, the reduced
-and weighted second moments) is a thin wrapper over a private core that
-takes chi's value table, so the sweeps can pass a row of
-`character_tables(q)` and get the same arithmetic.
+Each pointwise evaluator of one character that a sweep also needs (complete
+sums, the complete-sum table, unit averages, pair sums, the reduced and
+weighted second moments) is a thin wrapper over a private core that takes
+chi's value table, so the sweeps can pass a row of `character_tables(q)`
+and get the same arithmetic.  Incomplete sums and Gauss sums have no core:
+the sweeps sum those directly over their stacked rows, in the same order.
 
 Dyadic ranges follow the convention x ~ X meaning X < x <= 2X.
 """
@@ -164,7 +165,7 @@ def _modulus_tables(q: int):
     """
     if q > GROUP_MODULUS_LIMIT:
         raise ValueError(f"per-modulus tables are capped at q <= {GROUP_MODULUS_LIMIT}, got {q}")
-    unit_mask = np.array([math.gcd(a, q) == 1 for a in range(q)])
+    unit_mask = np.gcd(np.arange(q, dtype=np.int64), q) == 1
     units = np.nonzero(unit_mask)[0].astype(np.int64)
     inv = np.zeros(q, dtype=np.int64)
     if q > 1:
@@ -279,11 +280,7 @@ def incomplete_lambda(
     chi: DirichletCharacter, m: int, n: int, interval: IntervalSpec
 ) -> complex:
     """Sum of chi(m*a + n*abar) over units a in the given interval."""
-    return _incomplete_lambda(character_value_table(chi), m, n, interval)
-
-
-def _incomplete_lambda(tab: np.ndarray, m: int, n: int, interval: IntervalSpec) -> complex:
-    """incomplete_lambda on chi's value table (its length is q)."""
+    tab = character_value_table(chi)
     q = len(tab)
     if interval.length > q:
         raise ValueError(f"interval length {interval.length} exceeds the modulus {q}")
@@ -297,11 +294,7 @@ def _incomplete_lambda(tab: np.ndarray, m: int, n: int, interval: IntervalSpec) 
 
 def gauss_sum(chi: DirichletCharacter, n: int) -> complex:
     """Sum of chi(a) e(n*a/q) over a mod q."""
-    return _gauss_sum(character_value_table(chi), n)
-
-
-def _gauss_sum(tab: np.ndarray, n: int) -> complex:
-    """gauss_sum on chi's value table (its length is q)."""
+    tab = character_value_table(chi)
     q = len(tab)
     _, _, _, e = _modulus_tables(q)
     t = np.arange(q, dtype=np.int64)

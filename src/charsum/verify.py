@@ -29,11 +29,22 @@ theorem1 reads S off the exact +-1 entries of its rows at the square roots
 of unity, and multiplicativity finds each product character's index by
 mixed-radix arithmetic on the exponent rows of q1 and q2.  lemma1 takes
 every twist of every primitive character's Gauss sum from one FFT over the
-primitive rows, lemma4 every quadratic sum from one FFT per q x q table,
-and bound5 scans the interval windows of a block of seeded draws at once.
-bound4 and vanishing read the maximum of the complete sums from the tau(q)
-divisor rows and never build the q x q table.  Every witness is recomputed
-pointwise, by the core of its evaluator applied to the character's row.
+primitive rows, and the Gauss sum at each witness twist from one direct sum
+over those rows.  lemma3 sums only the tau(q) divisor-class rows of the unit
+averages (row c equals row gcd(c, q), and so does unit_average_coefficient)
+and broadcasts them through `_divisor_orbits`' slot.  pairsum stacks its
+primitive rows, so each ell's buckets and index grid serve every character.
+lemma4 takes every quadratic sum from one FFT per q x q table.  bound5 draws
+the (m, n) of every (character, trial) cell in one batch
+(`randrange_cells`, bit for bit the scalar streams), scans the interval
+windows of a block of draws at once, and takes each witness value as the
+direct sum of the window's terms in the block's doubled term rows; replay
+against `incomplete_lambda` is its oracle.  bound4 and vanishing read the
+maximum of the complete sums from the tau(q) divisor rows and never build
+the q x q table.  Every witness is recomputed by a direct sum in the order
+its pointwise evaluator uses: the evaluator's core applied to the
+character's row, or, for the lemma1 twist and bound5, the same sum over
+the stacked rows.
 
 Witnesses picked among near-equal or noise-level values (bound4, vanishing,
 multiplicativity, the lemma1 twist, lemma3, pairsum) follow one tie rule,
@@ -54,7 +65,7 @@ import numpy as np
 
 from charsum.arith import divisors, factorize, multiplicative_profile, square_roots_of_unity
 from charsum.character import _index_radix, character_group, character_tables, parse_character_label
-from charsum.rng import COEFF_MODELS, SplitMix64, derive_seed
+from charsum.rng import COEFF_MODELS, SplitMix64, derive_seed, randrange_cells
 from charsum.sums import (
     BilinearInstance,
     IntervalSpec,
@@ -76,8 +87,6 @@ from charsum.sums import (
     _complete_lambda_table,
     _divisor_orbits,
     _divisor_rows,
-    _gauss_sum,
-    _incomplete_lambda,
     _modulus_tables,
     _orthogonality_average,
     _reduced_second_moment,
@@ -533,12 +542,30 @@ def _lemma1_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str
     g1_all = all_twists[:, 1 % q]
     twist_defects = np.abs(all_twists - np.conj(tabs) * g1_all[:, None])
     n_stars = _first_near_max(twist_defects, tolerance(2 * q))
+    # G(chi, n*) for every character, each row summed directly as gauss_sum does
+    _, _, _, e = _modulus_tables(q)
+    terms = e[n_stars[:, None] * np.arange(q, dtype=np.int64) % q]
+    twists_at_witness = np.multiply(tabs, terms, out=terms).sum(axis=1)
+    # the conjugate is primitive too; its own row gives G(conj chi, 1)
     row_of = {index: i for i, index in enumerate(primitive)}
+    conj_g1_all = g1_all[[row_of[index] for index in chars.conjugate[primitive].tolist()]]
+    tol_q, tol_2q = tolerance(q), tolerance(2 * q)
     cases = []
-    for i, index in enumerate(primitive):
+    # scalar complex arithmetic on Python floats: numpy's vectorized abs and
+    # complex product can round differently
+    for index, g1, n_star, twist, defect_twist, sign, conj_g1 in zip(
+        primitive,
+        g1_all.tolist(),
+        n_stars.tolist(),
+        twists_at_witness.tolist(),
+        twist_defects.max(axis=1).tolist(),
+        tabs[:, q - 1].tolist(),
+        conj_g1_all.tolist(),
+    ):
+        magnitude = abs(g1)
+        defect_mod = abs(magnitude - root_q)
+        conj_defect = abs(g1.conjugate() - sign * conj_g1)
         chi = (index, chars.labels[index])
-        g1 = complex(g1_all[i])
-        defect_mod = abs(abs(g1) - root_q)
         cases.append(
             _case(
                 "lemma1",
@@ -548,12 +575,10 @@ def _lemma1_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str
                 params={},
                 value=g1,
                 defect=defect_mod,
-                ratio=abs(g1) / root_q,
-                passed=defect_mod <= tolerance(q),
+                ratio=magnitude / root_q,
+                passed=defect_mod <= tol_q,
             )
         )
-        n_star = int(n_stars[i])
-        defect_twist = float(twist_defects[i].max())
         cases.append(
             _case(
                 "lemma1",
@@ -561,16 +586,12 @@ def _lemma1_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str
                 chi,
                 kind="gauss_twist",
                 params={"n": n_star},
-                value=_gauss_sum(tabs[i], n_star),
+                value=twist,
                 defect=defect_twist,
                 ratio=0.0,
-                passed=defect_twist <= tolerance(2 * q),
+                passed=defect_twist <= tol_2q,
             )
         )
-        # the conjugate is primitive too; its own row gives G(conj chi, 1)
-        sign = complex(tabs[i, q - 1])
-        conj_g1 = complex(g1_all[row_of[int(chars.conjugate[index])]])
-        conj_defect = abs(np.conj(g1) - sign * conj_g1)
         cases.append(
             _case(
                 "lemma1",
@@ -581,7 +602,7 @@ def _lemma1_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str
                 value=g1,
                 defect=conj_defect,
                 ratio=0.0,
-                passed=conj_defect <= tolerance(2 * q),
+                passed=conj_defect <= tol_2q,
             )
         )
     return cases, []
@@ -592,33 +613,33 @@ def _bound5_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str
     _, inv, _, _ = _modulus_tables(q)
     chars = character_tables(q)
     tables = chars.values
-    draws = []
-    for index in range(1, len(tables)):  # index 0 is the trivial character
-        for trial in range(cfg.trials):
-            rng = SplitMix64(derive_seed(cfg.seed, _TAG_BOUND5, q, index, trial))
-            m = rng.randrange(q)
-            n = rng.randrange(q)
-            draws.append((index, trial, m, n))
+    # one (index, trial) cell per draw, index 0 (the trivial character) skipped;
+    # each cell's (m, n) are the first two draws of its derived stream
+    index_all = np.repeat(np.arange(1, len(tables), dtype=np.int64), cfg.trials)
+    trial_all = np.tile(np.arange(cfg.trials, dtype=np.int64), len(tables) - 1)
+    cells = np.stack([index_all, trial_all], axis=1)
+    m_all, n_all = randrange_cells(cfg.seed, (_TAG_BOUND5, q), cells, q, 2).astype(np.int64).T
     # deltas[k, s, l] = |terms of draw k summed over [s, s + l)|, for a block
     # of draws at a time: every draw's windows are scanned as in a loop of its own
     a = np.arange(q, dtype=np.int64)
     block = max(1, _BOUND5_BLOCK_ELEMENTS // (q * (q + 1)))
     cases = []
-    for lo in range(0, len(draws), block):
-        chunk = draws[lo : lo + block]
-        rows = np.array([index for index, _, _, _ in chunk], dtype=np.int64)
-        m = np.array([mk for _, _, mk, _ in chunk], dtype=np.int64)
-        n = np.array([nk for _, _, _, nk in chunk], dtype=np.int64)
+    for lo in range(0, len(cells), block):
+        rows, m, n = index_all[lo : lo + block], m_all[lo : lo + block], n_all[lo : lo + block]
         # inv is 0 off the units, where m*a + n*inv[a] is a non-unit: terms are 0
         terms = tables[rows[:, None], (m[:, None] * a + n[:, None] * inv) % q]
-        prefix = np.zeros((len(chunk), 2 * q + 1), dtype=np.complex128)
-        np.cumsum(np.concatenate([terms, terms], axis=1), axis=1, out=prefix[:, 1:])
+        doubled = np.concatenate([terms, terms], axis=1)
+        prefix = np.zeros((len(rows), 2 * q + 1), dtype=np.complex128)
+        np.cumsum(doubled, axis=1, out=prefix[:, 1:])
         windows = np.lib.stride_tricks.sliding_window_view(prefix, q + 1, axis=1)[:, :q]
         deltas = np.abs(windows - prefix[:, :q, None])
-        best = deltas.reshape(len(chunk), -1).argmax(axis=1)
-        for (index, trial, mk, nk), flat in zip(chunk, best):
-            start, length = divmod(int(flat), q + 1)
-            value = _incomplete_lambda(tables[index], mk, nk, IntervalSpec(start, length))
+        best = deltas.reshape(len(rows), -1).argmax(axis=1)
+        for k, (index, trial, mk, nk, flat) in enumerate(
+            zip(rows.tolist(), trial_all[lo : lo + block].tolist(), m.tolist(), n.tolist(), best.tolist())
+        ):
+            start, length = divmod(flat, q + 1)
+            # the window's terms summed directly, as incomplete_lambda sums them
+            value = complex(doubled[k, start : start + length].sum())
             cases.append(
                 _case(
                     "bound5",
@@ -652,24 +673,42 @@ def unit_average_coefficient(c: int, q: int) -> float:
     return w * q / prof.phi
 
 
+def _unit_averages(tabs: np.ndarray) -> np.ndarray:
+    """avg[k, c, b] = (1/phi) * sum over units a of chi(c*a + b), for chi the
+    character whose value table is tabs[k].
+
+    For c = g*u, with g = gcd(c, q) and u a unit, a -> a/u shows that row c
+    equals row g.  So only the tau(q) rows at c = g (0 for g = q) are summed,
+    each over the units in ascending order, and `_divisor_orbits`' slot
+    broadcasts them to every c.
+    """
+    q = tabs.shape[1]
+    units, _, _, _ = _modulus_tables(q)
+    divs, slot, _ = _divisor_orbits(q)
+    b_all = np.arange(q, dtype=np.int64)
+    tabs_t = tabs.T
+    rows = np.stack([tabs_t[(c * units[:, None] + b_all) % q].sum(axis=0) for c in (divs % q).tolist()])
+    rows /= len(units)
+    return rows.transpose(2, 0, 1)[:, slot]
+
+
 def _lemma3_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str]]:
     chars = character_tables(q)
-    units, _, _, _ = _modulus_tables(q)
-    phi = len(units)
-    b_all = np.arange(q, dtype=np.int64)
-    coeffs = np.array([unit_average_coefficient(c, q) for c in range(q)])
+    primitive = np.flatnonzero(chars.conductors == q).tolist()
+    if not primitive:
+        return [], []
+    tabs = chars.values[primitive]
+    # unit_average_coefficient depends on c only through gcd(c, q) as well
+    divs, slot, _ = _divisor_orbits(q)
+    coeffs = np.array([unit_average_coefficient(c, q) for c in (divs % q).tolist()])[slot]
+    # defects[k, c * q + b] for the k-th primitive character; the witness is
+    # the first near-maximum (c, b)
+    defects = np.abs(_unit_averages(tabs) - coeffs[:, None] * tabs[:, None, :]).reshape(len(primitive), q * q)
+    witnesses = _first_near_max(defects, 2.0**-40)
     cases = []
-    for index in np.flatnonzero(chars.conductors == q).tolist():
-        tab = chars.values[index]
-        # defects[c, b]; the witness is the first near-maximum (c, b)
-        defects = np.stack(
-            [
-                np.abs(tab[(c * units[:, None] + b_all) % q].sum(axis=0) / phi - coeffs[c] * tab)
-                for c in range(q)
-            ]
-        )
-        c, b = divmod(int(_first_near_max(defects.ravel(), 2.0**-40)), q)
-        defect = float(defects.max())
+    for k, index in enumerate(primitive):
+        c, b = divmod(int(witnesses[k]), q)
+        defect = float(defects[k].max())
         cases.append(
             _case(
                 "lemma3",
@@ -677,7 +716,7 @@ def _lemma3_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[str
                 (index, chars.labels[index]),
                 kind="lemma3",
                 params={"c": c, "b": b},
-                value=_orthogonality_average(tab, c, b),
+                value=_orthogonality_average(tabs[k], c, b),
                 defect=defect,
                 ratio=0.0,
                 passed=defect <= 2.0**-40,
@@ -692,23 +731,31 @@ def _pairsum_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[st
     phi = len(units)
     b_all = np.arange(q, dtype=np.int64)
     divs = divisors(q)
+    primitive = np.flatnonzero(chars.conductors == q).tolist()
+    if not primitive:
+        return [], []
+    # one column per primitive character: each ell's buckets and index grid
+    # serve every character at once
+    tabs_t = chars.values[primitive].T
+    unit_values = tabs_t[units]
+    conj_units = np.conj(unit_values)
+    rows = []
+    for ell in divs:
+        buckets = np.zeros((ell, len(primitive)), dtype=np.complex128)
+        np.add.at(buckets, units % ell, unit_values)
+        grid = buckets[(units[:, None] * (b_all[None, :] % ell)) % ell]
+        values = (conj_units[:, None] * grid).sum(axis=0)
+        target = tabs_t * phi if ell == q else 0.0
+        rows.append(np.abs(values - target))
+    # defects[k, i * q + y] for the k-th primitive character and the i-th
+    # divisor ell; the witness is the first near-maximum (ell, y)
+    defects = np.stack(rows).transpose(2, 0, 1).reshape(len(primitive), -1)
+    witnesses = _first_near_max(defects, tolerance(phi * phi))
     cases = []
-    for index in np.flatnonzero(chars.conductors == q).tolist():
-        tab = chars.values[index]
-        conj_units = np.conj(tab[units])
-        rows = []
-        for ell in divs:
-            buckets = np.zeros(ell, dtype=np.complex128)
-            np.add.at(buckets, units % ell, tab[units])
-            grid = buckets[(units[:, None] * (b_all[None, :] % ell)) % ell]
-            values = (conj_units[:, None] * grid).sum(axis=0)
-            target = tab * phi if ell == q else 0.0
-            rows.append(np.abs(values - target))
-        # defects[ell index, y]; the witness is the first near-maximum (ell, y)
-        defects = np.stack(rows)
-        i, y = divmod(int(_first_near_max(defects.ravel(), tolerance(phi * phi))), q)
+    for k, index in enumerate(primitive):
+        i, y = divmod(int(witnesses[k]), q)
         ell = divs[i]
-        defect = float(defects.max())
+        defect = float(defects[k].max())
         cases.append(
             _case(
                 "pairsum",
@@ -716,7 +763,7 @@ def _pairsum_q(q: int, cfg: ExperimentConfig) -> tuple[list[CaseRecord], list[st
                 (index, chars.labels[index]),
                 kind="pairsum",
                 params={"y": y, "ell": ell},
-                value=_character_pair_sum(tab, y, ell),
+                value=_character_pair_sum(chars.values[index], y, ell),
                 defect=defect,
                 ratio=0.0,
                 passed=defect <= tolerance(phi * phi),

@@ -288,6 +288,14 @@ def test_verify_out_file(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def test_bound5_trials_zero_has_no_cases(capsys):
+    code, out, _ = run_cli(capsys, "verify", "bound5", "--trials", "0")
+    assert code == 0
+    assert json.loads(out)["summary"]["tested"] == 0
+    code, out, _ = run_cli(capsys, "verify", "bound5", "--trials", "0", "--format", "csv")
+    assert (code, out) == (0, ",".join(CSV_COLUMNS) + "\n")
+
+
 def test_bilinear_trials_zero_header_only(capsys):
     code, out, _ = run_cli(capsys, "bilinear", "--trials", "0", "--format", "csv")
     assert code == 0

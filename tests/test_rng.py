@@ -7,11 +7,12 @@ well-known first outputs for seed 0.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charsum.rng import COEFF_MODELS, SplitMix64, derive_seed
+from charsum.rng import COEFF_MODELS, SplitMix64, derive_seed, randrange_cells
 
 MASK = (1 << 64) - 1
 
@@ -116,3 +117,56 @@ def test_unit_disc_statistics_roughly_uniform():
     n = 4000
     mean_sq = sum(abs(rng.unit_disc()) ** 2 for _ in range(n)) / n
     assert math.isclose(mean_sq, 0.5, abs_tol=0.05)
+
+
+def scalar_cell_draws(seed, tags, cells, n, count):
+    out = []
+    for cell in cells:
+        rng = SplitMix64(derive_seed(seed, *tags, *cell))
+        out.append([rng.randrange(n) for _ in range(count)])
+    return out
+
+
+CELLS = [(index, trial) for index in range(1, 13) for trial in range(4)]
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [
+        [1],
+        # powers of two: 2^64 % n == 0, so the rejection limit 2^64 has no uint64
+        [2, 64, 2**32, 2**63, 2**64],
+        list(range(3, 101)),
+        # just above 2^63 about half of all draws are rejected
+        [2**63 + 1, 2**63 + 12345, 2**64 - 1],
+    ],
+    ids=["one", "powers-of-two", "3..100", "above-2^63"],
+)
+def test_randrange_cells_matches_scalar_stream(moduli):
+    for n in moduli:
+        for seed, tags in ((0, ()), (5, (101, 37)), (-3, (2**64 - 1,))):
+            got = randrange_cells(seed, tags, np.array(CELLS, dtype=np.int64), n, 2)
+            assert got.dtype == np.uint64 and got.shape == (len(CELLS), 2)
+            assert got.tolist() == scalar_cell_draws(seed, tags, CELLS, n, 2), (n, seed)
+
+
+def test_randrange_cells_fallback_runs_on_rejected_draws():
+    # the rows with a rejected draw come from the scalar stream, and there are some
+    n = 2**63 + 1
+    rejected = 0
+    for cell in CELLS:
+        rng = SplitMix64(derive_seed(9, 4, *cell))
+        rejected += any(rng.next_u64() >= n for _ in range(3))
+    assert rejected > 0
+    got = randrange_cells(9, (4,), np.array(CELLS, dtype=np.int64), n, 3)
+    assert got.tolist() == scalar_cell_draws(9, (4,), CELLS, n, 3)
+
+
+def test_randrange_cells_edge_shapes():
+    assert randrange_cells(1, (2,), np.zeros((0, 2), dtype=np.int64), 7, 2).shape == (0, 2)
+    # cells with no trailing tag draw from derive_seed(seed, *tags) itself
+    got = randrange_cells(1, (2, 3), np.zeros((2, 0), dtype=np.int64), 10, 4)
+    assert got.tolist() == scalar_cell_draws(1, (2, 3), [(), ()], 10, 4)
+    for n in (0, -1, 2**64 + 1):
+        with pytest.raises(ValueError):
+            randrange_cells(1, (), np.zeros((1, 1), dtype=np.int64), n, 1)

@@ -15,12 +15,13 @@ import charsum.verify as verify_module
 from charsum.character import (
     CharacterGroup,
     character_group,
+    character_tables,
     enumerate_characters,
     evaluate,
     parse_character_label,
     product_character,
 )
-from charsum.rng import COEFF_MODELS
+from charsum.rng import COEFF_MODELS, SplitMix64, derive_seed
 from charsum.sums import (
     character_pair_sum,
     character_value_table,
@@ -212,6 +213,9 @@ def test_bound5_windows_match_per_draw_reference(monkeypatch, budget):
             (chi.index, t) for chi in chars for t in range(3)
         ]
         for case in cases:
+            # (m, n) are the first two draws of the cell's scalar stream
+            rng = SplitMix64(derive_seed(5, verify_module._TAG_BOUND5, q, case.chi_index, case.params["trial"]))
+            assert (case.params["m"], case.params["n"]) == (rng.randrange(q), rng.randrange(q))
             chi = parse_character_label(case.chi_label)
             want = bound5_window_reference(chi, case.params["m"], case.params["n"])
             assert (case.params["start"], case.params["length"]) == want, (q, case.params)
@@ -227,6 +231,38 @@ def test_bound5_ratio_is_value_over_envelope():
             magnitude = abs(complex(case.value_re, case.value_im))
             want = magnitude / case.q ** (0.5 + epsilon)
             assert case.ratio == pytest.approx(want, rel=1e-12, abs=0.0), (case.q, case.params)
+
+
+def unit_average_table_direct(tabs: np.ndarray) -> np.ndarray:
+    """avg[k, c, b] = (1/phi) * sum over units a of tabs[k][c*a + b], one sum per c."""
+    q = tabs.shape[1]
+    units = np.array([a for a in range(q) if math.gcd(a, q) == 1], dtype=np.int64)
+    b_all = np.arange(q, dtype=np.int64)
+    rows = [tabs.T[(c * units[:, None] + b_all) % q].sum(axis=0) / len(units) for c in range(q)]
+    return np.stack(rows).transpose(2, 0, 1)
+
+
+def test_lemma3_rows_depend_only_on_gcd():
+    # the identity the lemma3 worker's divisor-class broadcast rests on, checked
+    # on the direct per-c defect table of every primitive character
+    for q in range(1, 61):
+        gcds = [math.gcd(c, q) for c in range(q)]
+        coeffs = np.array([unit_average_coefficient(c, q) for c in range(q)])
+        assert coeffs.tolist() == [unit_average_coefficient(g, q) for g in gcds], q
+        chars = character_tables(q)
+        tabs = chars.values[chars.conductors == q]
+        defects = np.abs(unit_average_table_direct(tabs) - coeffs[:, None] * tabs[:, None, :])
+        assert np.abs(defects - defects[:, [g % q for g in gcds]]).max(initial=0.0) <= 2.0**-40, q
+
+
+def test_unit_averages_broadcast_matches_direct_table():
+    # every (c, b) of the divisor-class broadcast, for every character, against
+    # one direct sum per c; a wrong class-to-row mapping moves values by O(1)
+    for q in (1, 2, 12, 25, 30, 36, 48, 60):
+        tabs = character_tables(q).values
+        got = verify_module._unit_averages(tabs)
+        assert got.shape == (len(tabs), q, q)
+        assert np.abs(got - unit_average_table_direct(tabs)).max() <= 2.0**-40, q
 
 
 def test_lemma3_pair_sum_exhaustive_small():
